@@ -22,7 +22,7 @@
 //! `PoolOracle::Exact` plans bit-identical to the `CachedLatency` plans.
 //! Non-smoke runs finish with a **matrix-free N=131072 amcast cell**
 //! built from `RouterNet`/`HostSet` directly — `Network::generate` (and
-//! its O(N²) `LatencyMatrix`) is never called — asserting the tiered
+//! its factored `LatencyMatrix`) is never called — asserting the tiered
 //! oracle stays under 5% of the dense-matrix footprint.
 //!
 //! Results land in `results/BENCH_planner.json`. When a committed
@@ -610,7 +610,7 @@ fn main() {
     }
 
     // ---- Matrix-free scale cell: N=131072. Built from RouterNet +
-    // HostSet directly; `Network::generate` (and with it the O(N²)
+    // HostSet directly; `Network::generate` (and with it the factored
     // LatencyMatrix) is never called on this path, so the only latency
     // state that exists is the tiered oracle's own — the reported
     // resident bytes account for *everything* the oracle holds.

@@ -144,7 +144,7 @@ impl GnpSolver {
                     e
                 };
                 let r = minimize(objective, lm_coords[i].as_slice(), self.cfg.simplex);
-                lm_coords[i] = Coord::from_slice(&r.point);
+                lm_coords[i] = r.point;
             }
         }
 
@@ -181,7 +181,7 @@ impl GnpSolver {
                 *s /= lm_count as f64;
             }
             let r = minimize(objective, &start, self.cfg.simplex);
-            store.set(h, Coord::from_slice(&r.point));
+            store.set(h, r.point);
         }
         store
     }

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 use crate::gnp::{measure, random_coord};
 use crate::simplex::{minimize, SimplexOptions};
-use crate::space::{Coord, CoordStore, DEFAULT_DIM};
+use crate::space::{CoordStore, DEFAULT_DIM};
 
 /// Configuration of the leafset coordinate protocol.
 #[derive(Clone, Debug)]
@@ -102,7 +102,12 @@ impl LeafsetCoords {
             store.set(ring.member(i).host, c);
         }
 
-        // Gauss–Seidel refinement rounds.
+        // Gauss–Seidel refinement rounds. The objective reads neighbour
+        // coordinates from a dimension-major buffer (see
+        // `embedding_error`); both buffers are reused across updates.
+        let dim = self.cfg.dim;
+        let mut nb: Vec<f64> = Vec::new();
+        let mut sq: Vec<f64> = Vec::new();
         for round in 0..self.cfg.rounds {
             // Later rounds take smaller simplex steps: coordinates are
             // nearly settled and large probes just inject noise.
@@ -117,28 +122,58 @@ impl LeafsetCoords {
             };
             for i in 0..n {
                 let me = ring.member(i).host;
-                let nb_coords: Vec<Coord> = neighbors[i].iter().map(|&h| *store.get(h)).collect();
+                let k = neighbors[i].len();
+                nb.resize(dim * k, 0.0);
+                for (j, &h) in neighbors[i].iter().enumerate() {
+                    for (d, &x) in store.get(h).as_slice().iter().enumerate() {
+                        nb[d * k + j] = x;
+                    }
+                }
+                sq.resize(k, 0.0);
                 let meas = &measured[i];
-                let objective = |p: &[f64]| {
-                    let c = Coord::from_slice(p);
-                    nb_coords
-                        .iter()
-                        .zip(meas)
-                        .map(|(nc, &m)| (c.distance(nc) - m).abs())
-                        .sum()
-                };
+                let objective = |p: &[f64]| embedding_error(p, &nb, meas, &mut sq);
                 let res = minimize(objective, store.get(me).as_slice(), opts);
-                store.set(me, Coord::from_slice(&res.point));
+                store.set(me, res.point);
             }
         }
         store
     }
 }
 
+/// The leafset objective `E(p) = Σ_j |‖p − c_j‖ − m_j|` over `k =
+/// meas.len()` neighbours whose coordinates sit dimension-major in `nb`
+/// (`nb[d * k + j]` is component `d` of neighbour `j`); `sq` is `k` slots of
+/// scratch.
+///
+/// Each neighbour's squared distance accumulates one dimension at a time,
+/// in `Coord::distance`'s order (the first dimension stores its square:
+/// `0.0 + x == x` for every square), and the errors are summed in neighbour
+/// order, so the result is bit-identical to summing
+/// `(c.distance(c_j) - m_j).abs()` — while the per-dimension and square-root
+/// passes vectorize across neighbours.
+fn embedding_error(p: &[f64], nb: &[f64], meas: &[f64], sq: &mut [f64]) -> f64 {
+    let k = meas.len();
+    for (s, &y) in sq.iter_mut().zip(&nb[..k]) {
+        let diff = p[0] - y;
+        *s = diff * diff;
+    }
+    for (d, &x) in p.iter().enumerate().skip(1) {
+        for (s, &y) in sq.iter_mut().zip(&nb[d * k..(d + 1) * k]) {
+            let diff = x - y;
+            *s += diff * diff;
+        }
+    }
+    for (s, &m) in sq.iter_mut().zip(meas) {
+        *s = (s.sqrt() - m).abs();
+    }
+    sq.iter().sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::{random_pairs, relative_error_cdf};
+    use crate::space::Coord;
     use netsim::{Network, NetworkConfig};
 
     fn small_net() -> Network {
@@ -153,6 +188,132 @@ mod tests {
             },
             33,
         )
+    }
+
+    /// The original `run`: neighbour coordinates gathered into a fresh
+    /// `Vec<Coord>` per update and minimized with the `Vec`-based
+    /// reference simplex.
+    fn run_reference(
+        cfg: &LeafsetConfig,
+        oracle: &impl LatencyModel,
+        ring: &Ring,
+        seed: u64,
+    ) -> CoordStore {
+        let n_hosts = oracle.num_hosts();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let r_side = (cfg.leafset_size / 2).max(1);
+        let n = ring.len();
+        let mut neighbors: Vec<Vec<HostId>> = Vec::with_capacity(n);
+        let mut measured: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let me = ring.member(i).host;
+            let hosts: Vec<HostId> = ring
+                .leafset(i, r_side)
+                .into_iter()
+                .map(|j| ring.member(j).host)
+                .collect();
+            let meas = hosts
+                .iter()
+                .map(|&nb| measure(oracle, me, nb, cfg.noise, &mut rng))
+                .collect();
+            neighbors.push(hosts);
+            measured.push(meas);
+        }
+        let mut store = CoordStore::zeros(n_hosts, cfg.dim);
+        for i in 0..n {
+            let c = random_coord(cfg.dim, 10.0, &mut rng);
+            store.set(ring.member(i).host, c);
+        }
+        for round in 0..cfg.rounds {
+            let step = if round < 2 {
+                cfg.simplex.initial_step
+            } else {
+                (cfg.simplex.initial_step / (round as f64)).max(2.0)
+            };
+            let opts = SimplexOptions {
+                initial_step: step,
+                ..cfg.simplex
+            };
+            for i in 0..n {
+                let me = ring.member(i).host;
+                let nb_coords: Vec<Coord> = neighbors[i].iter().map(|&h| *store.get(h)).collect();
+                let meas = &measured[i];
+                let objective = |p: &[f64]| {
+                    let c = Coord::from_slice(p);
+                    nb_coords
+                        .iter()
+                        .zip(meas)
+                        .map(|(nc, &m)| (c.distance(nc) - m).abs())
+                        .sum()
+                };
+                let (point, _, _) =
+                    crate::simplex::minimize_reference(objective, store.get(me).as_slice(), opts);
+                store.set(me, Coord::from_slice(&point));
+            }
+        }
+        store
+    }
+
+    // The structure-of-arrays objective against the `Coord::distance`
+    // formulation it replaces, to the bit.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn embedding_error_matches_coord_distance_sum(
+            dim in 1usize..(crate::space::MAX_DIM + 1),
+            k in 1usize..40,
+            seed: u64,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut comp = || 400.0 * rng.random::<f64>() - 200.0;
+            let p: Vec<f64> = (0..dim).map(|_| comp()).collect();
+            let nbs: Vec<Coord> = (0..k)
+                .map(|_| Coord::from_slice(&(0..dim).map(|_| comp()).collect::<Vec<_>>()))
+                .collect();
+            let meas: Vec<f64> = (0..k).map(|_| comp().abs()).collect();
+            let mut nb = vec![0.0; dim * k];
+            for (j, c) in nbs.iter().enumerate() {
+                for (d, &x) in c.as_slice().iter().enumerate() {
+                    nb[d * k + j] = x;
+                }
+            }
+            let c = Coord::from_slice(&p);
+            let want: f64 = nbs
+                .iter()
+                .zip(&meas)
+                .map(|(nc, &m)| (c.distance(nc) - m).abs())
+                .sum();
+            let got = embedding_error(&p, &nb, &meas, &mut vec![0.0; k]);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn run_is_bit_identical_to_the_reference_at_300_hosts() {
+        let net = Network::generate(
+            &NetworkConfig {
+                num_hosts: 300,
+                ..NetworkConfig::default()
+            },
+            41,
+        );
+        let ring = Ring::with_random_ids((0..300u32).map(HostId), 3);
+        let cfg = LeafsetConfig {
+            rounds: 6,
+            noise: 0.05,
+            ..Default::default()
+        };
+        let got = LeafsetCoords::new(cfg.clone()).run(&net.latency, &ring, 9);
+        let want = run_reference(&cfg, &net.latency, &ring, 9);
+        for h in (0..300u32).map(HostId) {
+            let (g, w) = (got.get(h).as_slice(), want.get(h).as_slice());
+            assert_eq!(g.len(), w.len());
+            for (x, y) in g.iter().zip(w) {
+                assert_eq!(x.to_bits(), y.to_bits(), "host {h:?}: {g:?} vs {w:?}");
+            }
+        }
     }
 
     #[test]

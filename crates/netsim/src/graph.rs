@@ -1,9 +1,11 @@
 //! Weighted undirected graph with single-source shortest paths.
 //!
 //! Small and purpose-built: the router graph is a few hundred nodes, and we
-//! run one Dijkstra per router to build the all-pairs latency matrix. Sources
-//! are fanned out across threads (crossbeam scoped threads) with each thread
-//! writing a disjoint slice of rows, so the result is deterministic.
+//! run one Dijkstra per host-attached router to build the factored latency
+//! matrix, plus one per promoted row in the tiered oracle's hot tier.
+//! [`Graph::all_pairs`] fans every source out across threads (crossbeam
+//! scoped threads) with each thread writing a disjoint slice of rows, so
+//! the result is deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,10 +66,11 @@ impl Graph {
     pub fn dijkstra(&self, src: u32) -> Vec<f32> {
         let n = self.adj.len();
         let mut dist = vec![f32::INFINITY; n];
-        let mut heap: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(n);
         dist[src as usize] = 0.0;
-        heap.push(Reverse((OrdF32(0.0), src)));
-        while let Some(Reverse((OrdF32(d), v))) = heap.pop() {
+        heap.push(Reverse(frontier_key(0.0, src)));
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, v) = (f32::from_bits((key >> 32) as u32), key as u32);
             if d > dist[v as usize] {
                 continue;
             }
@@ -75,7 +78,7 @@ impl Graph {
                 let nd = d + w;
                 if nd < dist[u as usize] {
                     dist[u as usize] = nd;
-                    heap.push(Reverse((OrdF32(nd), u)));
+                    heap.push(Reverse(frontier_key(nd, u)));
                 }
             }
         }
@@ -128,22 +131,15 @@ impl Graph {
     }
 }
 
-/// f32 wrapper that is `Ord`. `total_cmp` matches `partial_cmp` on the
-/// non-NaN, non-negative distances Dijkstra produces (the proptest below
-/// pins that) and stays a valid total order — instead of panicking — should
-/// a poisoned weight ever leak a NaN into the heap.
-#[derive(PartialEq, Clone, Copy)]
-struct OrdF32(f32);
-impl Eq for OrdF32 {}
-impl PartialOrd for OrdF32 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF32 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// A Dijkstra frontier entry packed into one integer: distance bits high,
+/// node low. Distances here are never negative (weights are checked at
+/// [`Graph::add_edge`] and the source starts at `+0.0`) and never NaN, and
+/// on such values the IEEE-754 bit pattern orders exactly like the number,
+/// so the integer min-heap pops by `(distance, node)` — the order of a
+/// `(f32::total_cmp, node)` heap — with one compare.
+#[inline]
+fn frontier_key(d: f32, v: u32) -> u64 {
+    (u64::from(d.to_bits()) << 32) | u64::from(v)
 }
 
 #[cfg(test)]
@@ -242,10 +238,10 @@ mod tests {
 
     proptest::proptest! {
         // On NaN-free random graphs (quantized weights make equal-distance
-        // ties common), the `total_cmp`-ordered heap, the `total_cmp`
-        // reference, and the historical `partial_cmp` selection order all
-        // compute bit-identical distances: on NaN-free inputs `total_cmp`
-        // and `partial_cmp().unwrap()` are the same total order.
+        // ties common), the packed-key heap, the `total_cmp` reference, and
+        // the historical `partial_cmp` selection order all compute
+        // bit-identical distances: on NaN-free inputs `total_cmp` and
+        // `partial_cmp().unwrap()` are the same total order.
         #[test]
         fn dijkstra_matches_partial_cmp_reference_on_nan_free_graphs(
             edges in proptest::collection::vec((0u32..12, 0u32..12, 1u32..20), 1..40),
@@ -264,6 +260,33 @@ mod tests {
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 proptest::prop_assert_eq!(&bits(&fast), &bits(&slow));
                 proptest::prop_assert_eq!(&bits(&slow), &bits(&historical));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        // Unquantized weights, including `+0.0` and `-0.0` edges (both pass
+        // `add_edge`'s `w >= 0.0` check): the packed-key heap still agrees
+        // with the reference bit for bit, so no distance ever comes out as
+        // `-0.0` or out of order.
+        #[test]
+        fn dijkstra_matches_reference_on_float_and_zero_weights(
+            edges in proptest::collection::vec((0u32..10, 0u32..10, 0u32..8, 0.0f32..60.0), 1..30),
+        ) {
+            let mut g = Graph::with_nodes(10);
+            for &(a, b, kind, w) in &edges {
+                if a != b {
+                    let w = match kind {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => w,
+                    };
+                    g.add_edge(a, b, w);
+                }
+            }
+            for src in 0..10u32 {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&g.dijkstra(src)), bits(&dijkstra_ref(&g, src)));
             }
         }
     }

@@ -1,10 +1,11 @@
-//! All-pairs host latency oracle and the [`LatencyModel`] abstraction.
+//! The exact host latency oracle and the [`LatencyModel`] abstraction.
 //!
 //! Every ALM planning algorithm in the workspace is written against
 //! [`LatencyModel`], so the same code runs in the paper's two modes:
 //!
 //! * *Critical* — pair-wise latency known a priori via an oracle
-//!   ([`LatencyMatrix`], exact shortest-path distances), and
+//!   ([`LatencyMatrix`], exact shortest-path distances in factored form,
+//!   or its dense [`CachedLatency`] expansion), and
 //! * *Leafset* — latency predicted from network coordinates (the `coords`
 //!   crate implements `LatencyModel` for its coordinate store).
 
@@ -25,12 +26,11 @@ use crate::topology::RouterNet;
 ///
 /// Implementations may carry either `f32`- or `f64`-precision values:
 ///
-/// * [`LatencyMatrix`] quantizes once, at build time, to `f32`. Its
-///   `latency_ms` widens `f32 → f64`, which is exact (every `f32` is
-///   representable as an `f64`), so snapshotting a matrix-backed model into
-///   another `f32` store ([`CachedLatency::from_matrix`]) is value-identical
-///   and zero-copy — there is no repeated `f64 → f32 → f64` round-trip per
-///   call site.
+/// * [`LatencyMatrix`] rounds every pair to `f32` once, through
+///   [`exact_entry`], and widens `f32 → f64`, which is exact (every `f32` is
+///   representable as an `f64`). Expanding it into the dense `f32` kernel
+///   ([`CachedLatency::from_matrix`]) is therefore value-identical — there
+///   is no repeated `f64 → f32 → f64` round-trip per call site.
 /// * Genuine `f64` models (e.g. coordinate stores) keep full precision.
 ///   Snapshotting one with [`CachedLatency::snapshot`] rounds each pair to
 ///   `f32` exactly once; callers that require bit-identical outputs against
@@ -52,16 +52,44 @@ impl<T: LatencyModel + ?Sized> LatencyModel for &T {
     }
 }
 
-/// Exact all-pairs host latencies: last-hop + shortest router path +
-/// last-hop. Stored as a dense `n × n` matrix of `f32` ms (1200 hosts → 5.8
-/// MB), built from one Dijkstra per *host-attached* router. The storage is
-/// shared (`Arc`), so cloning a matrix — or a whole network/pool that embeds
-/// one — is O(1).
+/// The exact `f32` latency of a host pair on distinct hosts: last hop +
+/// shortest router path + last hop, summed in `f64` and rounded once.
+///
+/// Every exact store in the workspace — [`LatencyMatrix`], the dense
+/// [`CachedLatency`] kernel, and the tiered oracle's hot rows and landmark
+/// sketch — evaluates this one expression, so their entries are
+/// bit-identical. The diagonal is `0` by contract and never goes through
+/// here.
+#[inline]
+pub fn exact_entry(lh_a: f64, router_d: f32, lh_b: f64) -> f32 {
+    (lh_a + f64::from(router_d) + lh_b) as f32
+}
+
+/// Exact all-pairs host latencies in **factored** form: last-hop + shortest
+/// router path + last-hop, evaluated per lookup with [`exact_entry`].
+///
+/// Storage is one Dijkstra row per *host-attached* router, restricted to
+/// the host-attached columns (`S × S` `f32`, ≈1.3 MB for the default 576
+/// stub routers), plus each host's row index and last hop (12 bytes per
+/// host). Nothing grows with `N²`: a 16384-host network costs about as
+/// much as a 1200-host one. The storage is shared (`Arc`), so cloning a
+/// matrix — or a whole network/pool that embeds one — is O(1).
+///
+/// A lookup costs a few loads and two `f64` adds. Planners that need the
+/// fastest possible pair reads snapshot the matrix into a dense
+/// [`CachedLatency`] with [`CachedLatency::from_matrix`]; the two are
+/// bit-identical.
 #[derive(Clone)]
 pub struct LatencyMatrix {
-    n: usize,
-    /// Row-major `n*n` distances in ms.
-    dist: Arc<[f32]>,
+    /// Number of distinct host-attached routers.
+    s: usize,
+    /// Row-major `s × s` shortest-path distances between host-attached
+    /// routers, ms.
+    router_dist: Arc<[f32]>,
+    /// Per host: its router's row (and column) in `router_dist`.
+    slot: Arc<[u32]>,
+    /// Per host: last-hop latency, ms.
+    last_hop: Arc<[f64]>,
 }
 
 impl LatencyMatrix {
@@ -69,54 +97,67 @@ impl LatencyMatrix {
     ///
     /// Only routers that actually host endpoints are Dijkstra sources:
     /// hosts attach to stub routers, so transit routers (and any stub router
-    /// without endpoints) never need a distance row of their own.
+    /// without endpoints) never need a distance row of their own, and only
+    /// the host-attached columns of each row are kept.
     pub fn build(net: &RouterNet, hosts: &HostSet) -> LatencyMatrix {
-        let n = hosts.len();
         let mut srcs: Vec<u32> = hosts.iter().map(|(_, h)| h.router.0).collect();
         srcs.sort_unstable();
         srcs.dedup();
-        let mut row_of = vec![usize::MAX; net.graph.len()];
+        let mut slot_of = vec![u32::MAX; net.graph.len()];
         for (i, &r) in srcs.iter().enumerate() {
-            row_of[r as usize] = i;
+            slot_of[r as usize] = i as u32;
         }
-        let rd: Vec<Vec<f32>> = srcs.iter().map(|&r| net.graph.dijkstra(r)).collect();
-        let mut dist = vec![0f32; n * n];
-        for (a, ha) in hosts.iter() {
-            for (b, hb) in hosts.iter() {
-                if a == b {
-                    continue;
-                }
-                let router_d = rd[row_of[ha.router.0 as usize]][hb.router.0 as usize];
-                debug_assert!(router_d.is_finite(), "disconnected routers");
-                dist[a.idx() * n + b.idx()] =
-                    (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
-            }
+        let s = srcs.len();
+        let mut router_dist = Vec::with_capacity(s * s);
+        for &r in &srcs {
+            let row = net.graph.dijkstra(r);
+            router_dist.extend(srcs.iter().map(|&c| {
+                let d = row[c as usize];
+                debug_assert!(d.is_finite(), "disconnected routers");
+                d
+            }));
         }
         LatencyMatrix {
-            n,
-            dist: dist.into(),
+            s,
+            router_dist: router_dist.into(),
+            slot: hosts
+                .iter()
+                .map(|(_, h)| slot_of[h.router.0 as usize])
+                .collect(),
+            last_hop: hosts.iter().map(|(_, h)| h.last_hop_ms).collect(),
         }
     }
 
-    /// The largest pairwise latency in the matrix (diameter), ms.
-    pub fn diameter_ms(&self) -> f64 {
-        self.dist.iter().copied().fold(0f32, f32::max) as f64
+    /// Bytes held by the factored storage: the router rows plus the
+    /// per-host row indices and last hops.
+    pub fn resident_bytes(&self) -> usize {
+        self.router_dist.len() * std::mem::size_of::<f32>()
+            + self.slot.len() * std::mem::size_of::<u32>()
+            + self.last_hop.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Host `a`'s router row in `router_dist`.
+    #[inline]
+    fn row(&self, a: usize) -> &[f32] {
+        let start = self.slot[a] as usize * self.s;
+        &self.router_dist[start..start + self.s]
     }
 }
 
 impl LatencyModel for LatencyMatrix {
     #[inline]
     fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
-        let i = a.idx() * self.n + b.idx();
-        debug_assert!(i < self.dist.len(), "host id out of matrix range");
-        // SAFETY: ids come from the host set the matrix was built over
-        // (`idx() < n`); debug builds assert the bound.
-        f64::from(unsafe { *self.dist.get_unchecked(i) })
+        let (a, b) = (a.idx(), b.idx());
+        if a == b {
+            return 0.0;
+        }
+        let router_d = self.row(a)[self.slot[b] as usize];
+        f64::from(exact_entry(self.last_hop[a], router_d, self.last_hop[b]))
     }
 
     #[inline]
     fn num_hosts(&self) -> usize {
-        self.n
+        self.slot.len()
     }
 }
 
@@ -127,8 +168,9 @@ impl LatencyModel for LatencyMatrix {
 /// Two constructions with different precision guarantees (see the
 /// [`LatencyModel`] precision contract):
 ///
-/// * [`CachedLatency::from_matrix`] shares a [`LatencyMatrix`]'s storage —
-///   zero-copy, value-identical, safe wherever bit-reproducibility matters.
+/// * [`CachedLatency::from_matrix`] expands a factored [`LatencyMatrix`]
+///   into `n²` entries once — value-identical, safe wherever
+///   bit-reproducibility matters.
 /// * [`CachedLatency::snapshot`] evaluates an arbitrary model once per pair
 ///   and rounds to `f32` — a fast approximation of `f64` models, *not*
 ///   value-identical to them.
@@ -146,12 +188,29 @@ impl std::fmt::Debug for CachedLatency {
 }
 
 impl CachedLatency {
-    /// Share a matrix's storage without copying. Value-identical to the
-    /// source: the matrix already stores `f32`, and widening is exact.
+    /// Expand a factored matrix into the dense kernel: `n²` entries
+    /// written once, straight into the shared allocation. Value-identical
+    /// to the source — both evaluate [`exact_entry`] on the same inputs,
+    /// and widening `f32 → f64` is exact.
     pub fn from_matrix(m: &LatencyMatrix) -> CachedLatency {
+        let n = m.num_hosts();
+        let mut dist = Arc::<[f32]>::new_uninit_slice(n * n);
+        let cells = Arc::get_mut(&mut dist).expect("fresh allocation is unshared");
+        for (a, out) in cells.chunks_exact_mut(n.max(1)).enumerate() {
+            let row = m.row(a);
+            let lh_a = m.last_hop[a];
+            for (b, cell) in out.iter_mut().enumerate() {
+                cell.write(if a == b {
+                    0.0
+                } else {
+                    exact_entry(lh_a, row[m.slot[b] as usize], m.last_hop[b])
+                });
+            }
+        }
         CachedLatency {
-            n: m.n,
-            dist: Arc::clone(&m.dist),
+            n,
+            // SAFETY: the loop above wrote every one of the `n * n` cells.
+            dist: unsafe { dist.assume_init() },
         }
     }
 
@@ -422,45 +481,62 @@ mod tests {
         assert_eq!(m.num_hosts(), 10);
     }
 
-    #[test]
-    fn restricted_dijkstra_matches_full_all_pairs_build() {
-        // Satellite check: sourcing Dijkstra only from host-attached routers
-        // must produce exactly the matrix the old every-router build did.
-        let (net, hosts) = small();
-        let m = LatencyMatrix::build(&net, &hosts);
-        let rd = net.graph.all_pairs();
-        let n = hosts.len();
-        let mut full = vec![0f32; n * n];
-        for (a, ha) in hosts.iter() {
-            for (b, hb) in hosts.iter() {
-                if a == b {
-                    continue;
-                }
-                let router_d = rd[ha.router.0 as usize][hb.router.0 as usize];
-                full[a.idx() * n + b.idx()] =
-                    (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32;
-            }
-        }
-        for a in hosts.ids() {
-            for b in hosts.ids() {
-                assert_eq!(m.latency_ms(a, b), f64::from(full[a.idx() * n + b.idx()]));
-            }
-        }
-    }
+    // Sourcing Dijkstra only from host-attached routers and factoring the
+    // matrix must reproduce, bit for bit, the historical dense fill from
+    // every-router all-pairs distances — and so must the dense kernel
+    // expanded from it. Hosts outnumber stub routers, so every case holds
+    // same-router pairs; the diagonal is checked too.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-    #[test]
-    fn cached_from_matrix_is_value_identical_and_zero_copy() {
-        let (net, hosts) = small();
-        let m = LatencyMatrix::build(&net, &hosts);
-        let c = CachedLatency::from_matrix(&m);
-        assert_eq!(c.num_hosts(), m.num_hosts());
-        for a in hosts.ids() {
-            for b in hosts.ids() {
-                // Bit-identical, not merely close: the storage is shared.
-                assert_eq!(c.latency_ms(a, b).to_bits(), m.latency_ms(a, b).to_bits());
+        #[test]
+        fn restricted_dijkstra_matches_full_all_pairs_build(
+            td in 1usize..4,
+            tpd in 1usize..4,
+            sdt in 1usize..3,
+            rps in 1usize..4,
+            extra_hosts in 1usize..50,
+            lo in 0.5f64..6.0,
+            width in 0.5f64..6.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let cfg = TransitStubConfig {
+                transit_domains: td,
+                transit_per_domain: tpd,
+                stub_domains_per_transit: sdt,
+                routers_per_stub: rps,
+                ..Default::default()
+            };
+            let net = RouterNet::generate(&cfg, seed);
+            let stub_routers = net.len() - net.num_transit;
+            let hosts = HostSet::attach(&net, stub_routers + extra_hosts, (lo, lo + width), seed ^ 1);
+            let m = LatencyMatrix::build(&net, &hosts);
+            let c = CachedLatency::from_matrix(&m);
+            let rd = net.graph.all_pairs();
+            let n = hosts.len();
+            proptest::prop_assert_eq!(m.num_hosts(), n);
+            proptest::prop_assert_eq!(c.num_hosts(), n);
+            let mut same_router_pairs = 0;
+            for (a, ha) in hosts.iter() {
+                for (b, hb) in hosts.iter() {
+                    let want = if a == b {
+                        0f32
+                    } else {
+                        let router_d = rd[ha.router.0 as usize][hb.router.0 as usize];
+                        (ha.last_hop_ms + router_d as f64 + hb.last_hop_ms) as f32
+                    };
+                    if a != b && ha.router == hb.router {
+                        same_router_pairs += 1;
+                    }
+                    let want = f64::from(want).to_bits();
+                    proptest::prop_assert_eq!(m.latency_ms(a, b).to_bits(), want);
+                    proptest::prop_assert_eq!(c.latency_ms(a, b).to_bits(), want);
+                }
             }
+            proptest::prop_assert!(same_router_pairs > 0);
+            let s = hosts.iter().map(|(_, h)| h.router).collect::<std::collections::HashSet<_>>().len();
+            proptest::prop_assert!(m.resident_bytes() <= s * s * 4 + n * 12);
         }
-        assert!(Arc::ptr_eq(&c.dist, &m.dist));
     }
 
     #[test]
@@ -520,15 +596,5 @@ mod tests {
         assert_eq!(latency_calls(), 2);
         reset_latency_calls();
         assert_eq!(latency_calls(), 0);
-    }
-
-    #[test]
-    fn diameter_is_positive_and_bounded() {
-        let (net, hosts) = small();
-        let m = LatencyMatrix::build(&net, &hosts);
-        let d = m.diameter_ms();
-        assert!(d > 0.0);
-        // Upper bound: every path is at most (#routers * max link) + 2 last hops.
-        assert!(d < net.len() as f64 * 100.0 + 16.0);
     }
 }

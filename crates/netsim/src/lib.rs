@@ -16,8 +16,10 @@
 //! * [`graph`] — a small weighted-graph type with Dijkstra;
 //! * [`hosts`] — end-host attachment, last-hop latencies, and the paper's
 //!   degree-bound distribution (P(degree = i+1) = 2⁻ⁱ);
-//! * [`latency`] — the all-pairs host latency oracle and the [`LatencyModel`]
-//!   trait shared by every ALM algorithm (oracle vs. coordinate-estimated);
+//! * [`latency`] — the exact host latency oracle, stored factored as
+//!   router rows plus per-host last hops (no `N²` storage), its dense
+//!   planner kernel, and the [`LatencyModel`] trait shared by every ALM
+//!   algorithm (oracle vs. coordinate-estimated);
 //! * [`bandwidth`] — the synthetic access-bandwidth mixture standing in for
 //!   the Gnutella trace, plus the packet-pair dispersion model.
 //!
@@ -104,8 +106,9 @@ impl NetworkConfig {
     }
 }
 
-/// A fully generated network: router topology, all-pairs router distances,
-/// end hosts with last-hop latencies, degree bounds and access bandwidths.
+/// A fully generated network: router topology, exact host latencies
+/// (factored: router distances plus last hops), end hosts with last-hop
+/// latencies, degree bounds and access bandwidths.
 ///
 /// This is the "physical world" every experiment runs against. Generation is
 /// deterministic from `(config, seed)`.
@@ -115,7 +118,8 @@ pub struct Network {
     pub routers: RouterNet,
     /// End-host attachment and attributes.
     pub hosts: hosts::HostSet,
-    /// All-pairs host latency oracle.
+    /// Exact host latency oracle, factored — `O(routers² + hosts)`
+    /// storage, never `O(hosts²)`.
     pub latency: LatencyMatrix,
 }
 

@@ -1,8 +1,10 @@
 //! # oracle — tiered latency estimation without O(N²) storage
 //!
-//! The dense [`netsim::LatencyMatrix`] is exact but needs `N² × 4`
-//! bytes — ~64 GB at N=131072 — which (not planner CPU) is the binding
-//! constraint on pool size. This crate unifies the exact models and a
+//! The dense [`netsim::CachedLatency`] kernel is exact and the fastest
+//! planner read, but needs `N² × 4` bytes — ~64 GB at N=131072 — which
+//! (not planner CPU) is the binding constraint on pool size. The factored
+//! [`netsim::LatencyMatrix`] behind it is small but pays a few loads per
+//! lookup. This crate unifies the exact models and a
 //! **tiered oracle** behind one [`LatencyOracle`] trait:
 //!
 //! * **hot tier** — a bounded, deterministic LRU of exact Dijkstra rows
@@ -74,13 +76,14 @@ impl LatencyOracle for TieredOracle {
 /// Which latency oracle the pool builds and plans through.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum LatencySource {
-    /// The dense exact matrix (`CachedLatency`), today's behavior and
+    /// The dense exact kernel (`CachedLatency`, expanded from the
+    /// network's factored matrix at pool build), today's behavior and
     /// the default: plans are bit-identical to the historical planner.
     #[default]
     Exact,
-    /// The tiered oracle; the dense matrix is still *built* by
-    /// `Network::generate` for evaluation, but planning reads go
-    /// through the tiers.
+    /// The tiered oracle. Nothing `N²`-sized is ever allocated: planning
+    /// reads go through the tiers, and evaluation reads the network's
+    /// factored exact matrix.
     Tiered(TieredConfig),
 }
 
@@ -308,9 +311,10 @@ mod tests {
         const SLACK: f64 = 1e-3;
         let (net, hosts) = small_world(300, 23);
         let (oracle, matrix) = tiered(&net, &hosts, &TieredConfig::default(), 23);
+        let sketch = oracle_sketch(&net, &hosts, 23);
         for a in 0..hosts.len() as u32 {
             for b in (a + 1)..hosts.len() as u32 {
-                let (lo, up) = oracle_sketch_bounds(&net, &hosts, a, b, 23);
+                let (lo, up) = sketch.bounds(HostId(a), HostId(b));
                 let exact = matrix.latency_ms(HostId(a), HostId(b));
                 assert!(
                     exact >= lo - SLACK && exact <= up + SLACK,
@@ -325,17 +329,11 @@ mod tests {
         }
     }
 
-    fn oracle_sketch_bounds(
-        net: &RouterNet,
-        hosts: &HostSet,
-        a: u32,
-        b: u32,
-        seed: u64,
-    ) -> (f64, f64) {
+    /// The sketch `tiered(.., seed)` builds its oracle over.
+    fn oracle_sketch(net: &RouterNet, hosts: &HostSet, seed: u64) -> LandmarkSketch {
         let lms =
             LandmarkSketch::default_landmarks(hosts.len(), TieredConfig::default().landmarks, seed);
-        let sketch = LandmarkSketch::build(net, hosts, &lms);
-        sketch.bounds(HostId(a), HostId(b))
+        LandmarkSketch::build(net, hosts, &lms)
     }
 
     #[test]

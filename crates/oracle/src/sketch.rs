@@ -4,14 +4,14 @@
 //!
 //! A sketch costs `L × N × 4` bytes (L landmarks, N hosts) — 8 MB at
 //! N=131072 with the default L=16 — against `N² × 4` for the dense
-//! matrix. Each stored entry is computed with the *same* arithmetic as
-//! [`netsim::LatencyMatrix`] (`(last_hop_a + router_d as f64 +
-//! last_hop_b) as f32`), so landmark rows are bit-identical to the
-//! corresponding matrix rows.
+//! matrix. Each stored entry is [`netsim::latency::exact_entry`], the
+//! expression [`netsim::LatencyMatrix`] evaluates, so landmark rows are
+//! bit-identical to the corresponding matrix rows.
 
 use std::sync::Arc;
 
 use netsim::hosts::HostSet;
+use netsim::latency::exact_entry;
 use netsim::{HostId, LatencyModel, RouterNet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -65,9 +65,7 @@ impl LandmarkSketch {
                 } else {
                     row[h.router.0 as usize]
                 };
-                // Exact same expression as LatencyMatrix::build, so the
-                // stored f32 is bit-identical to the matrix entry.
-                let v = (lh.last_hop_ms + f64::from(router_d) + h.last_hop_ms) as f32;
+                let v = exact_entry(lh.last_hop_ms, router_d, h.last_hop_ms);
                 assert!(
                     v.is_finite(),
                     "disconnected underlay: landmark {lm} -> host {i}"

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use coords::CoordStore;
 use netsim::graph::Graph;
 use netsim::hosts::HostSet;
+use netsim::latency::exact_entry;
 use netsim::{HostId, LatencyModel, RouterNet};
 
 use crate::sketch::LandmarkSketch;
@@ -193,12 +194,13 @@ impl Counters {
 ///
 /// # Precision contract per tier
 ///
-/// * **hot** — bit-identical to the dense [`netsim::LatencyMatrix`]
-///   entry on the default integral-millisecond topology (same build
-///   expression, and router Dijkstra distances there are exact in f32
-///   from either endpoint). On exotic float link weights a row computed
-///   from the *other* endpoint's router may differ by final-rounding
-///   ulps; values are still symmetric because pairs are canonicalized.
+/// * **hot** — bit-identical to the [`netsim::LatencyMatrix`] entry on
+///   the default integral-millisecond topology (same
+///   [`netsim::latency::exact_entry`] expression, and router Dijkstra
+///   distances there are exact in f32 from either endpoint). On exotic
+///   float link weights a row computed from the *other* endpoint's router
+///   may differ by final-rounding ulps; values are still symmetric because
+///   pairs are canonicalized.
 /// * **sketch** — the interval midpoint `0.5*(lo+up)`; the exact value
 ///   lies within the interval up to f32 rounding of sketch entries, so
 ///   the error is bounded by half the interval width (`tightness`
@@ -423,8 +425,7 @@ impl TieredOracle {
 
     #[inline]
     fn exact(&self, p: usize, q: usize, router_d: f32) -> f64 {
-        // Same expression as LatencyMatrix::build — bit-identical entry.
-        f64::from((self.last_hop[p] + f64::from(router_d) + self.last_hop[q]) as f32)
+        f64::from(exact_entry(self.last_hop[p], router_d, self.last_hop[q]))
     }
 }
 

@@ -180,6 +180,35 @@ impl PoolOp {
     }
 }
 
+/// An exact latency model borrowed from a pool — see
+/// [`ResourcePool::exact_latency`]. Both arms answer bit-identically; the
+/// dense arm is just faster per lookup.
+#[derive(Clone, Copy)]
+pub enum ExactLatency<'a> {
+    /// The dense planner kernel of an `Exact`-source pool.
+    Dense(&'a netsim::CachedLatency),
+    /// The network's factored matrix (`Tiered`-source pools).
+    Factored(&'a netsim::LatencyMatrix),
+}
+
+impl netsim::LatencyModel for ExactLatency<'_> {
+    #[inline]
+    fn latency_ms(&self, a: HostId, b: HostId) -> f64 {
+        match self {
+            ExactLatency::Dense(m) => m.latency_ms(a, b),
+            ExactLatency::Factored(m) => m.latency_ms(a, b),
+        }
+    }
+
+    #[inline]
+    fn num_hosts(&self) -> usize {
+        match self {
+            ExactLatency::Dense(m) => m.num_hosts(),
+            ExactLatency::Factored(m) => m.num_hosts(),
+        }
+    }
+}
+
 /// Configuration for assembling a resource pool.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
@@ -192,11 +221,13 @@ pub struct PoolConfig {
     /// SOMO tree fanout.
     pub somo_fanout: usize,
     /// Which latency oracle planning reads go through. `Exact` (the
-    /// default) plans against the dense matrix exactly as before —
-    /// bit-identical results; `Tiered` plans against the bounded-memory
-    /// tiered oracle (`crates/oracle`). Evaluation metrics (oracle tree
-    /// heights, members-only baselines) always use the exact matrix so
-    /// quality numbers stay comparable across sources.
+    /// default) expands the network's factored matrix into the dense
+    /// `N²` kernel and plans against it exactly as before — bit-identical
+    /// results; `Tiered` plans against the bounded-memory tiered oracle
+    /// (`crates/oracle`) and allocates nothing `N²`-sized. Evaluation
+    /// metrics (oracle tree heights, members-only baselines) always read
+    /// exact latencies ([`ResourcePool::exact_latency`]) so quality
+    /// numbers stay comparable across sources.
     pub latency_source: LatencySource,
 }
 
@@ -214,9 +245,15 @@ impl Default for PoolConfig {
 
 /// The assembled resource pool: every host of the underlay joined into one
 /// DHT ring, with generated metrics and per-host degree tables.
+///
+/// Latency storage depends on [`PoolConfig::latency_source`]: the network
+/// always holds the small factored exact matrix; an `Exact` pool adds the
+/// dense `N² × 4`-byte planner kernel, a `Tiered` pool the bounded tiered
+/// oracle. All of it is `Arc`-shared, so cloning a pool copies none of it.
 #[derive(Clone)]
 pub struct ResourcePool {
-    /// The physical underlay (latency oracle, degree bounds, bandwidths).
+    /// The physical underlay (factored exact latencies, degree bounds,
+    /// bandwidths).
     pub net: Network,
     /// The DHT ring over all hosts.
     pub ring: Ring,
@@ -498,22 +535,24 @@ impl ResourcePool {
         self.net.num_hosts()
     }
 
-    /// The oracle latency kernel as a dense [`netsim::CachedLatency`]
-    /// snapshot. Built with [`netsim::CachedLatency::from_matrix`], it
-    /// shares the pool's [`netsim::LatencyMatrix`] storage — the call is
-    /// O(1) and the returned model is **value-identical** to
-    /// `self.net.latency` (bit-for-bit, see the `netsim::latency`
-    /// precision contract), so planners may use either interchangeably.
-    /// The task manager and the market's crash repair plan against this
-    /// handle to stay on the inlined fast path without borrowing the pool.
-    pub fn cached_latency(&self) -> netsim::CachedLatency {
-        netsim::CachedLatency::from_matrix(&self.net.latency)
+    /// The exact latency model evaluation metrics read (oracle tree
+    /// heights, members-only baselines). Under `Exact` it is the dense
+    /// planner kernel; under `Tiered` it is the network's factored
+    /// [`netsim::LatencyMatrix`], so a tiered pool never holds anything
+    /// `N²`-sized. The two are bit-identical (see the `netsim::latency`
+    /// precision contract), so quality numbers do not depend on the
+    /// source.
+    pub fn exact_latency(&self) -> ExactLatency<'_> {
+        match &self.oracle {
+            PoolOracle::Exact(dense) => ExactLatency::Dense(dense),
+            PoolOracle::Tiered(_) => ExactLatency::Factored(&self.net.latency),
+        }
     }
 
     /// The oracle *planning* reads go through, per
     /// [`PoolConfig::latency_source`]. Under `Exact` this is a zero-copy
-    /// handle on the dense matrix — value-identical to
-    /// [`Self::cached_latency`], so plans are bit-identical to the
+    /// handle on the dense kernel — value-identical to
+    /// [`Self::exact_latency`], so plans are bit-identical to the
     /// historical planner. Under `Tiered` the handle **shares** the
     /// pool's hot tier and hit counters (promotions made through it
     /// persist; see [`oracle::TieredOracle::share`]).

@@ -623,12 +623,12 @@ fn plan_shaped(
         preempted.dedup();
         preempted.retain(|&s| s != spec.id);
 
-        // The reported quality metric is always evaluated under the
-        // exact matrix — even when planning went through the tiered
-        // oracle — so heights and improvements stay comparable across
-        // latency sources (and `Exact` mode stays bit-identical: there
-        // the two models are value-identical anyway).
-        let oracle_height = oracle_height(&tree, &pool.cached_latency());
+        // The reported quality metric is always evaluated under exact
+        // latencies — even when planning went through the tiered oracle —
+        // so heights and improvements stay comparable across latency
+        // sources (and `Exact` mode stays bit-identical: there the two
+        // models are value-identical anyway).
+        let oracle_height = oracle_height(&tree, &pool.exact_latency());
         let helpers = helpers_used(&tree, &spec.members);
         return PlanOutcome {
             improvement: alm::problem::improvement(baseline_height, oracle_height),
@@ -851,11 +851,12 @@ pub fn plan_standby_trees(
 
 /// The members-only AMCast baseline: physical degree bounds, oracle
 /// latencies — the denominator of every improvement figure in the paper.
-/// Always evaluated under the exact matrix regardless of
+/// Always evaluated under exact latencies
+/// ([`ResourcePool::exact_latency`]) regardless of
 /// [`crate::PoolConfig::latency_source`]: it is a quality *metric*, not a
 /// planning decision, and must stay comparable across sources.
 pub fn members_only_baseline(pool: &ResourcePool, spec: &SessionSpec) -> f64 {
-    let oracle = pool.cached_latency();
+    let oracle = pool.exact_latency();
     let dbound = |h: HostId| pool.net.hosts.degree_bound(h);
     let p = Problem::new(spec.root, spec.members.clone(), &oracle, dbound);
     amcast(&p).max_height()

@@ -166,3 +166,43 @@ fn exact_market_emits_no_oracle_trace_events() {
         "Exact-source run emitted an OracleTiers event — trace is no longer byte-identical"
     );
 }
+
+/// A `Tiered` pool holds no `N²`-sized latency storage anywhere: the
+/// network's exact matrix is factored (router rows plus per-host last
+/// hops), evaluation reads it instead of a dense kernel, and the planning
+/// oracle stays a small fraction of the dense footprint.
+#[test]
+fn tiered_pool_holds_no_quadratic_latency_storage() {
+    let pool = ResourcePool::build(
+        &PoolConfig {
+            net: NetworkConfig {
+                num_hosts: 4096,
+                ..NetworkConfig::default()
+            },
+            coord_rounds: 1,
+            latency_source: tiered(),
+            ..PoolConfig::default()
+        },
+        42,
+    );
+    let n = pool.num_hosts();
+    let r = pool.net.routers.len();
+    let s = pool
+        .net
+        .hosts
+        .iter()
+        .map(|(_, h)| h.router)
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+    let factored = pool.net.latency.resident_bytes();
+    assert!(
+        factored <= s * r * 4 + n * 12 + r * 4,
+        "factored matrix holds {factored} bytes (S={s}, R={r}, N={n})"
+    );
+    assert!(factored * 20 < n * n * 4, "matrix is not under 5% of dense");
+    assert!(matches!(
+        pool.exact_latency(),
+        pool::ExactLatency::Factored(_)
+    ));
+    assert!(pool.oracle_resident_bytes() * 10 < n * n * 4);
+}
