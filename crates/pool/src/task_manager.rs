@@ -20,8 +20,7 @@
 
 use alm::critical::helpers_used;
 use alm::{
-    adjust, amcast, critical, try_amcast, try_critical, HelperPool, HelperStrategy, MulticastTree,
-    Problem,
+    adjust, amcast, try_amcast, try_critical, HelperPool, HelperStrategy, MulticastTree, Problem,
 };
 use netsim::{HostId, LatencyModel};
 use serde::{Deserialize, Serialize};
@@ -131,13 +130,11 @@ pub struct PlanOutcome {
     /// Helpers a stale view promised but that refused the reservation
     /// (always 0 when planning from live degree tables).
     pub helper_failures: u32,
-    /// Relaxations ([`alm::metrics::relaxations`]) this plan performed,
-    /// measured on the thread that ran it. Thread-local counters die with
-    /// worker threads, so parallel coordinators read the count here
-    /// instead of from their own thread-local delta.
+    /// Relaxations ([`alm::metrics::relaxations`]) this plan performed:
+    /// the thread-local counter's delta across the plan.
     pub relaxations: u64,
     /// [`netsim::latency::latency_calls`] this plan performed, measured
-    /// like `relaxations` on the executing thread.
+    /// like `relaxations`.
     pub latency_calls: u64,
 }
 
@@ -443,7 +440,7 @@ fn plan_shaped(
     let helper_rank = shape.helper_rank;
     let stale: std::collections::HashMap<HostId, u32> = stale_avail.iter().copied().collect();
     // Per-plan counter window: everything from the baseline evaluation to
-    // the final retry is this plan's work, charged to the executing thread.
+    // the final retry is this plan's work.
     let rel0 = alm::metrics::relaxations();
     let lat0 = netsim::latency::latency_calls();
     let baseline_height = members_only_baseline(pool, spec);
@@ -547,7 +544,8 @@ fn plan_shaped(
         let tree = match budgeted_tree.or(clamped_tree) {
             Some(t) => t,
             None => match cfg.model {
-                PlanModel::Oracle => plan_tree(spec, &oracle, &avail, &candidates, cfg),
+                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg)
+                    .expect("tree out of capacity for remaining members"),
                 PlanModel::Coords => {
                     // The practical loop: shortlist helpers through
                     // coordinates, measure the contacted ones, replan on
@@ -655,11 +653,11 @@ pub struct StandbyOutcome {
     pub trees: Vec<MulticastTree>,
     /// Sessions that lost degrees to the standby reservations.
     pub preempted: Vec<SessionId>,
-    /// Relaxations the standby pass performed on its executing thread
-    /// (see [`PlanOutcome::relaxations`]).
+    /// Relaxations the standby pass performed (see
+    /// [`PlanOutcome::relaxations`]).
     pub relaxations: u64,
-    /// Latency-model calls the standby pass performed on its executing
-    /// thread (see [`PlanOutcome::latency_calls`]).
+    /// Latency-model calls the standby pass performed (see
+    /// [`PlanOutcome::latency_calls`]).
     pub latency_calls: u64,
 }
 
@@ -862,32 +860,11 @@ pub fn members_only_baseline(pool: &ResourcePool, spec: &SessionSpec) -> f64 {
     amcast(&p).max_height()
 }
 
-fn plan_tree<L: LatencyModel>(
-    spec: &SessionSpec,
-    model: &L,
-    avail: &impl Fn(HostId) -> u32,
-    candidates: &[HostId],
-    cfg: &PlanConfig,
-) -> MulticastTree {
-    let p = Problem::new(spec.root, spec.members.clone(), model, avail);
-    let mut tree = if cfg.use_helpers && !candidates.is_empty() {
-        let mut hp = HelperPool::new(candidates.to_vec());
-        hp.min_degree = cfg.helper_min_degree;
-        hp.radius_ms = cfg.radius_ms;
-        hp.strategy = cfg.strategy;
-        critical(&p, &hp)
-    } else {
-        amcast(&p)
-    };
-    if cfg.use_adjust {
-        adjust(&p, &mut tree);
-    }
-    tree
-}
-
-/// [`plan_tree`], but `None` instead of a panic when the availability view
-/// cannot host a spanning tree — the standby planner runs against residual
-/// capacity, where running dry is an expected outcome.
+/// Plan one tree over `candidates` under the availability view: the
+/// critical-node engine when helpers are on, plain AMCast otherwise, then
+/// the optional adjustment pass. `None` when the view cannot host a
+/// spanning tree — the standby planner runs against residual capacity,
+/// where running dry is an expected outcome.
 fn try_plan_tree<L: LatencyModel>(
     spec: &SessionSpec,
     model: &L,

@@ -138,9 +138,15 @@ where
     /// Ring members whose hosts have crashed (they neither send nor
     /// receive; their logical nodes go silent).
     dead: std::collections::HashSet<usize>,
-    /// Sync mode: how long an internal node waits for its children before
-    /// forwarding a partial aggregate.
+    /// Sync mode: the least time an internal node waits for its children
+    /// before forwarding a partial aggregate (it also waits out its
+    /// `round_trip`).
     child_timeout: SimTime,
+    /// Sync mode, per logical node: the fault-free time from the node
+    /// receiving a round's request to its last child partial arriving.
+    /// A node never times out before this has passed, so a deep subtree
+    /// whose round trip exceeds `child_timeout` still completes its census.
+    round_trip: Vec<SimTime>,
     /// Fault layer every inter-host message is threaded through. Endpoint
     /// labels are ring member indices. A no-op plan is zero-cost.
     faults: FaultyLink,
@@ -204,6 +210,7 @@ where
         }
 
         let n = tree.len();
+        let round_trip = subtree_round_trips(tree, &reporting, &delay);
         let mut queue = EventQueue::new();
         match mode {
             FlowMode::Unsynchronized => {
@@ -235,6 +242,7 @@ where
             round_ctr: 0,
             dead: std::collections::HashSet::new(),
             child_timeout: period,
+            round_trip,
             faults: FaultyLink::new(plan),
             tracer: Tracer::disabled(),
             metrics: MetricsRegistry::new(),
@@ -298,7 +306,9 @@ where
         self.dead.contains(&m)
     }
 
-    /// Override the sync-round child timeout (defaults to one period).
+    /// Override the sync-round child timeout (defaults to one period). A
+    /// node whose subtree's fault-free round trip is longer still waits
+    /// out that round trip.
     pub fn set_child_timeout(&mut self, t: SimTime) {
         self.child_timeout = t;
     }
@@ -453,8 +463,13 @@ where
                             self.queue.schedule_after(d, Ev::Request { node: c, round });
                         }
                     }
-                    self.queue
-                        .schedule_after(self.child_timeout, Ev::Timeout { node, round });
+                    // Wait strictly past the subtree's fault-free round
+                    // trip: at equal instants the earlier-scheduled timeout
+                    // would fire before the last partial lands.
+                    let wait = self
+                        .child_timeout
+                        .max(self.round_trip[node as usize] + SimTime::from_micros(1));
+                    self.queue.schedule_after(wait, Ev::Timeout { node, round });
                 }
             }
             Ev::Timeout { node, round } => {
@@ -609,6 +624,46 @@ where
     }
 }
 
+/// Per logical node, the fault-free sync-round trip: from the node
+/// receiving a request until its last child partial arrives. A leaf's is
+/// the fetch from its reporting member (zero when the leaf's host is that
+/// member); an internal node's is the slowest child's request hop, round
+/// trip and partial hop, with same-host hops free.
+fn subtree_round_trips(
+    tree: &SomoTree,
+    reporting: &HashMap<u32, usize>,
+    delay: &impl Fn(usize, usize) -> SimTime,
+) -> Vec<SimTime> {
+    let nodes = tree.nodes();
+    let hop = |a: usize, b: usize| if a == b { SimTime::ZERO } else { delay(a, b) };
+    // Parents before children, so a reverse walk sees every child first.
+    let mut order = Vec::with_capacity(nodes.len());
+    let mut stack = vec![0u32];
+    while let Some(i) = stack.pop() {
+        order.push(i);
+        stack.extend(&nodes[i as usize].children);
+    }
+    let mut rt = vec![SimTime::ZERO; nodes.len()];
+    for &i in order.iter().rev() {
+        let n = &nodes[i as usize];
+        rt[i as usize] = if n.is_leaf() {
+            reporting
+                .get(&i)
+                .map_or(SimTime::ZERO, |&m| hop(n.host, m) + hop(m, n.host))
+        } else {
+            n.children
+                .iter()
+                .map(|&c| {
+                    let ch = nodes[c as usize].host;
+                    hop(n.host, ch) + rt[c as usize] + hop(ch, n.host)
+                })
+                .max()
+                .unwrap_or(SimTime::ZERO)
+        };
+    }
+    rt
+}
+
 /// The paper's unsynchronized staleness bound: `ceil(log_k N) · T`.
 pub fn unsync_staleness_bound(n: usize, fanout: usize, period: SimTime) -> SimTime {
     let levels = (n.max(2) as f64).log(fanout as f64).ceil() as u64;
@@ -663,6 +718,33 @@ mod tests {
         for v in &views {
             assert_eq!(v.view.members, n as u64, "member census wrong");
         }
+    }
+
+    #[test]
+    fn deep_sync_subtrees_complete_before_timing_out() {
+        // Fanout 2 over 256 members builds a tree whose deepest subtrees'
+        // fault-free round trip (2 · depth · HOP) exceeds the one-period
+        // child timeout. Every round must still close on its last partial
+        // and deliver the full census, never a timed-out partial one.
+        let (ring, tree) = setup(256, 2);
+        assert!(
+            2 * u64::from(tree.depth()) * HOP.as_micros() > T.as_micros(),
+            "tree too shallow to exercise the round-trip timeout"
+        );
+        let mut sim = GatherSim::new(
+            &tree,
+            &ring,
+            FlowMode::Synchronized,
+            T,
+            |_m, now| FreshnessReport::of_member(now),
+            |a, b| if a == b { SimTime::ZERO } else { HOP },
+        );
+        sim.run_until(SimTime::from_secs(120));
+        assert!(!sim.views().is_empty(), "no root views recorded");
+        for v in sim.views() {
+            assert_eq!(v.view.members, 256, "partial census at {}", v.at);
+        }
+        assert_eq!(sim.metrics().counter("gather.rounds_timeout"), 0);
     }
 
     #[test]

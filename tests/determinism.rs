@@ -276,19 +276,17 @@ fn faulted_multipath_market_trajectory_is_bit_identical_across_runs() {
     assert_eq!(a.leaked, 0, "multipath run leaked degrees");
 }
 
-/// One parallel-planning trajectory: a microsecond arrival gap collapses
-/// every first start onto `t = 0` and keeps the surviving sessions'
-/// replans phase-locked, so the scheduler sees same-timestamp batches all
-/// run long; the snapshot view plus the tiered oracle make speculative
-/// commits real (frozen-view plans carry a finite conflict scope), and the
-/// staggered crash plan keeps the fault paths interleaved with the
-/// batches. Captures everything [`MarketTrace`] pins plus the exact
-/// planner-work counters and the oracle's own per-tier hits.
-fn parallel_market_trajectory(
+/// One tiered-oracle, snapshot-view trajectory: a microsecond arrival gap
+/// collapses every first start onto `t = 0` and keeps the surviving
+/// sessions' replans phase-locked, so many sessions plan at the same
+/// instant against the same frozen view and hot tier; the staggered crash
+/// plan keeps the fault paths interleaved with those plan waves. Captures
+/// everything [`MarketTrace`] pins plus the exact planner-work counters and
+/// the oracle's own per-tier hits.
+fn tiered_snapshot_trajectory(
     seed: u64,
-    plan_threads: usize,
     k_trees: usize,
-) -> (MarketTrace, u64, u64, Option<TierStats>, u64) {
+) -> (MarketTrace, u64, u64, Option<TierStats>) {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -317,7 +315,6 @@ fn parallel_market_trajectory(
             k_trees,
             ..PlanConfig::default()
         },
-        plan_threads,
         ..MarketConfig::default()
     };
     let (out, pool) = MarketSim::new(pool, cfg, seed).run_full();
@@ -359,57 +356,45 @@ fn parallel_market_trajectory(
         out.planner_relaxations,
         out.planner_latency_calls,
         out.oracle_tiers,
-        out.speculative_commits,
     )
 }
 
 #[test]
-fn parallel_planning_is_bit_identical_across_thread_counts() {
-    // The tentpole contract: the outcome, the exact planner-work counters,
-    // the oracle's per-tier hits and the final books of every host are a
-    // function of the seed alone — never of `plan_threads`. Thread count 1
-    // IS the sequential engine (no batching, no forks), so equality at 2
-    // and 8 is equality with the sequential path.
-    let t1 = parallel_market_trajectory(29, 1, 1);
-    let t2 = parallel_market_trajectory(29, 2, 1);
-    let t8 = parallel_market_trajectory(29, 8, 1);
-    assert_eq!(t1.0, t2.0, "outcome diverged at plan_threads = 2");
-    assert_eq!(t1.0, t8.0, "outcome diverged at plan_threads = 8");
+fn tiered_snapshot_market_trajectory_is_bit_identical_across_runs() {
+    // The outcome, the exact planner-work counters, the oracle's per-tier
+    // hits and the final books of every host are a function of the seed
+    // alone.
+    let a = tiered_snapshot_trajectory(29, 1);
+    let b = tiered_snapshot_trajectory(29, 1);
+    assert_eq!(a.0, b.0, "outcome diverged between same-seed runs");
     assert_eq!(
-        (t1.1, t1.2),
-        (t2.1, t2.2),
-        "planner-work counters diverged at plan_threads = 2"
+        (a.1, a.2),
+        (b.1, b.2),
+        "planner-work counters diverged between same-seed runs"
     );
-    assert_eq!(
-        (t1.1, t1.2),
-        (t8.1, t8.2),
-        "planner-work counters diverged at plan_threads = 8"
-    );
-    assert_eq!(t1.3, t2.3, "oracle tier counters diverged");
-    assert_eq!(t1.3, t8.3, "oracle tier counters diverged");
-    assert!(t1.1 > 0, "run did no planner work at all");
-    // The sequential run never speculates; the parallel runs actually did
-    // (otherwise this test exercises nothing).
-    assert_eq!(t1.4, 0, "plan_threads = 1 took the speculative path");
-    assert!(t8.4 > 0, "plan_threads = 8 never committed a speculation");
+    assert_eq!(a.3, b.3, "oracle tier counters diverged");
+    assert!(a.1 > 0, "run did no planner work at all");
+    assert!(a.3.is_some(), "tiered run reported no tier counters");
 }
 
 #[test]
-fn parallel_multipath_planning_is_bit_identical_across_thread_counts() {
-    // k = 2: standby rounds scan live candidates, so every speculation in
-    // a batch after the first conflicts and replans inline — the fallback
-    // path itself must preserve bit-identity (and the books).
-    let t1 = parallel_market_trajectory(29, 1, 2);
-    let t8 = parallel_market_trajectory(29, 8, 2);
-    assert_eq!(t1.0, t8.0, "multipath outcome diverged at plan_threads = 8");
+fn tiered_snapshot_multipath_trajectory_is_bit_identical_across_runs() {
+    // k = 2: standby rounds scan live candidates behind every primary;
+    // the standby trees, failovers and books must replay bit-for-bit.
+    let a = tiered_snapshot_trajectory(29, 2);
+    let b = tiered_snapshot_trajectory(29, 2);
     assert_eq!(
-        (t1.1, t1.2),
-        (t8.1, t8.2),
+        a.0, b.0,
+        "multipath outcome diverged between same-seed runs"
+    );
+    assert_eq!(
+        (a.1, a.2),
+        (b.1, b.2),
         "multipath planner-work counters diverged"
     );
-    assert_eq!(t1.3, t8.3, "multipath oracle tier counters diverged");
-    assert!(t1.0.multipath.2 > 0, "delivery ratio was never sampled");
-    assert_eq!(t1.0.leaked, 0, "multipath run leaked degrees");
+    assert_eq!(a.3, b.3, "multipath oracle tier counters diverged");
+    assert!(a.0.multipath.2 > 0, "delivery ratio was never sampled");
+    assert_eq!(a.0.leaked, 0, "multipath run leaked degrees");
 }
 
 /// One faulted Admission-mode trajectory: the same staggered crash plan

@@ -74,12 +74,11 @@ fn faulted_multipath_market_traces_are_bit_identical_across_runs() {
     }
 }
 
-/// A faulted, traced market tuned so the parallel planner actually forms
-/// batches: microsecond arrival gap (every first start lands at `t = 0`
-/// and replans stay phase-locked), snapshot view so speculative plans
-/// carry finite conflict scopes, tiered oracle so the per-plan
+/// A faulted, traced market with same-instant plan waves: microsecond
+/// arrival gap (every first start lands at `t = 0` and replans stay
+/// phase-locked), snapshot view, and the tiered oracle so the per-plan
 /// `OracleTiers` snapshots are part of the contract too.
-fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> (String, u64) {
+fn traced_tiered_snapshot_market(seed: u64, k_trees: usize) -> String {
     let pool = ResourcePool::build(
         &PoolConfig {
             net: NetworkConfig {
@@ -108,40 +107,38 @@ fn traced_parallel_market(seed: u64, plan_threads: usize, k_trees: usize) -> (St
             k_trees,
             ..PlanConfig::default()
         },
-        plan_threads,
         ..MarketConfig::default()
     };
     let mut sim = MarketSim::new(pool, cfg, seed);
     sim.set_tracer(Tracer::ring(1 << 16));
     let (out, _) = sim.run_full();
-    (to_json_lines(&out.trace), out.speculative_commits)
+    to_json_lines(&out.trace)
 }
 
 #[test]
-fn parallel_market_traces_are_bit_identical_across_thread_counts() {
-    // The observability contract extends to the parallel planner: every
-    // trace byte — per-plan relaxation and latency-call counts included —
-    // must be independent of `plan_threads`.
-    let (t1, c1) = traced_parallel_market(29, 1, 1);
-    let (t2, _) = traced_parallel_market(29, 2, 1);
-    let (t8, c8) = traced_parallel_market(29, 8, 1);
-    assert_eq!(t1, t2, "traces diverged at plan_threads = 2");
-    assert_eq!(t1, t8, "traces diverged at plan_threads = 8");
-    assert_eq!(c1, 0, "plan_threads = 1 took the speculative path");
-    assert!(c8 > 0, "plan_threads = 8 never committed a speculation");
+fn tiered_snapshot_market_traces_are_bit_identical_across_runs() {
+    // Every trace byte — per-plan relaxation and latency-call counts and
+    // the tiered oracle's per-plan hit snapshots included — is a function
+    // of the seed alone.
+    let a = traced_tiered_snapshot_market(29, 1);
+    let b = traced_tiered_snapshot_market(29, 1);
+    assert_eq!(a, b, "same-seed tiered snapshot traces diverged");
     assert!(
-        t1.contains("OracleTiers"),
+        a.contains("OracleTiers"),
         "no per-plan tier snapshots in a tiered trace"
     );
 }
 
 #[test]
-fn parallel_multipath_market_traces_are_bit_identical_across_thread_counts() {
-    // k = 2: the conflict-fallback path (standby rounds scan the live
-    // pool) must also leave the trace untouched.
-    let (t1, _) = traced_parallel_market(29, 1, 2);
-    let (t8, _) = traced_parallel_market(29, 8, 2);
-    assert_eq!(t1, t8, "multipath traces diverged at plan_threads = 8");
+fn tiered_snapshot_multipath_market_traces_are_bit_identical_across_runs() {
+    // k = 2: standby rounds scan the live pool behind every primary.
+    let a = traced_tiered_snapshot_market(29, 2);
+    let b = traced_tiered_snapshot_market(29, 2);
+    assert_eq!(a, b, "same-seed multipath tiered snapshot traces diverged");
+    assert!(
+        a.contains("MarketTreeFailover") || a.contains("MarketTreeRebuilt"),
+        "no multipath repair in the trace"
+    );
 }
 
 /// A faulted Admission-mode market with starvation-level thresholds, so
