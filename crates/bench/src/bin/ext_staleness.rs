@@ -17,7 +17,7 @@
 
 use bench::{dump_json, mean};
 use netsim::NetworkConfig;
-use pool::task_manager::{plan_and_reserve, plan_and_reserve_from_view};
+use pool::task_manager::{plan_and_reserve, Discovery};
 use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
 use serde_json::json;
 
@@ -57,7 +57,7 @@ fn main() {
                 root: members[0],
                 members: members.clone(),
             };
-            plan_and_reserve(&mut pool, &s, &cfg);
+            plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         }
         // Probe sessions plan from the stale snapshot.
         let mut improvements = Vec::new();
@@ -70,7 +70,7 @@ fn main() {
                 root: members[0],
                 members: members.clone(),
             };
-            let out = plan_and_reserve_from_view(&mut pool, &s, &cfg, &stale_view);
+            let out = plan_and_reserve(&mut pool, &s, &cfg, Discovery::View(&stale_view), None);
             improvements.push(out.improvement);
             failures.push(out.helper_failures as f64);
             helpers.push(out.helpers.len() as f64);

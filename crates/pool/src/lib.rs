@@ -20,7 +20,7 @@
 //! ## Quick start
 //!
 //! ```no_run
-//! use pool::{PlanConfig, PoolConfig, ResourcePool, SessionSpec};
+//! use pool::{Discovery, PlanConfig, PoolConfig, ResourcePool, SessionSpec};
 //! use pool::degree_table::SessionId;
 //!
 //! let mut pool = ResourcePool::build(&PoolConfig::default(), 42);
@@ -31,7 +31,8 @@
 //!     root: members[0],
 //!     members,
 //! };
-//! let outcome = pool::task_manager::plan_and_reserve(&mut pool, &spec, &PlanConfig::default());
+//! let cfg = PlanConfig::default();
+//! let outcome = pool::plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
 //! println!(
 //!     "tree height {:.1} ms ({:.0}% better than AMCast, {} helpers)",
 //!     outcome.oracle_height,
@@ -61,9 +62,8 @@ pub use recovery::{
 };
 pub use report::{CandidateEntry, ResourceReport};
 pub use task_manager::{
-    plan_and_reserve, plan_and_reserve_fair_leased, plan_and_reserve_from_query,
-    plan_and_reserve_from_query_leased, plan_and_reserve_leased, FairShareCaps, PlanConfig,
-    PlanModel, PlanOutcome, SessionSpec, FAIR_HELPER_RANK,
+    plan_and_reserve, Discovery, FairShareCaps, PlanConfig, PlanModel, PlanOutcome, SessionSpec,
+    FAIR_HELPER_RANK,
 };
 
 use std::collections::HashMap;

@@ -85,9 +85,8 @@ use std::collections::{HashSet, VecDeque};
 use crate::degree_table::SessionId;
 use crate::liveops::{LiveOps, MarketStoreHandle, SlotSnap};
 use crate::task_manager::{
-    fanout_cap, plan_and_reserve_fair_leased, plan_and_reserve_from_query_leased,
-    plan_and_reserve_from_view_leased, plan_and_reserve_leased, plan_standby_trees, FairShareCaps,
-    PlanConfig, SessionSpec, FAIR_HELPER_RANK,
+    fanout_cap, plan_and_reserve, plan_standby_trees, Discovery, FairShareCaps, PlanConfig,
+    SessionSpec, FAIR_HELPER_RANK,
 };
 use crate::ResourcePool;
 use somo::traffic::TrafficLedger;
@@ -1846,28 +1845,14 @@ impl MarketSim {
             // session under a fresh lease one TTL out.
             lease = Some(now + self.cfg.lease_ttl);
         }
-        let out = match self.cfg.allocation {
-            AllocationMode::Priority => {
-                if let Some(qindex) = &mut self.qindex {
-                    plan_and_reserve_from_query_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        qindex,
-                        lease,
-                    )
-                } else if let Some(view) = &self.view {
-                    plan_and_reserve_from_view_leased(
-                        &mut self.pool,
-                        &spec,
-                        &self.cfg.plan,
-                        view,
-                        lease,
-                    )
-                } else {
-                    plan_and_reserve_leased(&mut self.pool, &spec, &self.cfg.plan, lease)
-                }
-            }
+        let no_exclusions = HashSet::new();
+        let caps;
+        let discovery = match self.cfg.allocation {
+            AllocationMode::Priority => match (&mut self.qindex, &self.view) {
+                (Some(qindex), _) => Discovery::Query(qindex),
+                (None, Some(view)) => Discovery::View(view),
+                (None, None) => Discovery::Live,
+            },
             AllocationMode::Pareto => {
                 // Plan against the water-filled fair share, helpers
                 // booked at the shared fair rank, over-share incumbents
@@ -1875,34 +1860,33 @@ impl MarketSim {
                 // live tables regardless of the discovery surface.
                 let shares = self.pareto_shares(i);
                 self.reclaim_overshare(i, &shares, now);
-                let caps = FairShareCaps {
+                caps = FairShareCaps {
                     helper_budget: shares[i],
                     member_degree: None,
-                    exclude: HashSet::new(),
+                    exclude: &no_exclusions,
                 };
-                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
+                Discovery::Fair(&caps)
             }
             AllocationMode::Admission => {
                 // Admitted sessions draw only free degrees on
                 // non-member hosts — structurally incapable of
                 // preempting. Degraded admissions additionally run on a
                 // trimmed budget and fan-out.
-                let caps = FairShareCaps {
-                    helper_budget: if self.slots[i].degraded {
-                        self.cfg.admission.degraded_helper_budget
-                    } else {
-                        u64::MAX
-                    },
-                    member_degree: if self.slots[i].degraded {
-                        Some(self.cfg.admission.degraded_member_degree)
-                    } else {
-                        None
-                    },
-                    exclude: self.member_hosts.clone(),
+                let adm = &self.cfg.admission;
+                let (helper_budget, member_degree) = if self.slots[i].degraded {
+                    (adm.degraded_helper_budget, Some(adm.degraded_member_degree))
+                } else {
+                    (u64::MAX, None)
                 };
-                plan_and_reserve_fair_leased(&mut self.pool, &spec, &self.cfg.plan, &caps, lease)
+                caps = FairShareCaps {
+                    helper_budget,
+                    member_degree,
+                    exclude: &self.member_hosts,
+                };
+                Discovery::Fair(&caps)
             }
         };
+        let out = plan_and_reserve(&mut self.pool, &spec, &self.cfg.plan, discovery, lease);
         self.slots[i].tree = Some(out.tree.clone());
         // A fresh plan is an intact serving tree: close any open outage
         // window (no-op on fault-free runs — the window never opens).
@@ -2529,6 +2513,31 @@ mod tests {
         )
     }
 
+    /// A fault plan crashing, for good at `700 + id` s, every `every`-th
+    /// host outside the member sets of a `sessions`-session market — so
+    /// only *helpers* can die — and how many hosts it crashes.
+    fn crash_non_members(
+        pool: &ResourcePool,
+        sessions: usize,
+        seed: u64,
+        every: u32,
+    ) -> (FaultPlan, usize) {
+        let member_hosts: HashSet<HostId> = pool
+            .partition_members(sessions, 12, seed)
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut faults = FaultPlan::none();
+        let mut crashed = 0;
+        for h in pool.net.hosts.ids() {
+            if !member_hosts.contains(&h) && h.0 % every == 0 {
+                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
+                crashed += 1;
+            }
+        }
+        (faults, crashed)
+    }
+
     fn faulty_cfg(sessions: usize) -> MarketConfig {
         MarketConfig {
             sessions,
@@ -2550,19 +2559,7 @@ mod tests {
         let sessions = 9;
         // Crash hosts outside every member set, so only *helpers* can die:
         // the pure mid-session helper-crash path.
-        let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-            .partition_members(sessions, 12, seed)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut faults = simcore::FaultPlan::none();
-        let mut crashed = 0;
-        for h in pool.net.hosts.ids() {
-            if !member_hosts.contains(&h) && h.0 % 4 == 0 {
-                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-                crashed += 1;
-            }
-        }
+        let (faults, crashed) = crash_non_members(&pool, sessions, seed, 4);
         assert!(crashed > 20, "fault plan too small to be interesting");
         let cfg = MarketConfig {
             faults,
@@ -2608,17 +2605,7 @@ mod tests {
         let pool = small_pool(21);
         let seed = 21;
         let sessions = 9;
-        let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-            .partition_members(sessions, 12, seed)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut faults = simcore::FaultPlan::none();
-        for h in pool.net.hosts.ids() {
-            if !member_hosts.contains(&h) && h.0 % 4 == 0 {
-                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-            }
-        }
+        let (faults, _) = crash_non_members(&pool, sessions, seed, 4);
         let cfg = MarketConfig {
             faults,
             plan: PlanConfig {
@@ -2666,17 +2653,7 @@ mod tests {
         let pool = small_pool(21);
         let seed = 21;
         let sessions = 9;
-        let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-            .partition_members(sessions, 12, seed)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut faults = simcore::FaultPlan::none();
-        for h in pool.net.hosts.ids() {
-            if !member_hosts.contains(&h) && h.0 % 4 == 0 {
-                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-            }
-        }
+        let (faults, _) = crash_non_members(&pool, sessions, seed, 4);
         let cfg = MarketConfig {
             faults,
             full_crash_replan: false,
@@ -2702,17 +2679,7 @@ mod tests {
         let pool = small_pool(21);
         let seed = 21;
         let sessions = 9;
-        let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-            .partition_members(sessions, 12, seed)
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut faults = simcore::FaultPlan::none();
-        for h in pool.net.hosts.ids() {
-            if !member_hosts.contains(&h) && h.0 % 4 == 0 {
-                faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-            }
-        }
+        let (faults, _) = crash_non_members(&pool, sessions, seed, 4);
         let cfg = MarketConfig {
             faults,
             full_crash_replan: true,
@@ -2737,17 +2704,7 @@ mod tests {
         let seed = 25;
         let run = |full: bool| {
             let pool = small_pool(25);
-            let member_hosts: std::collections::HashSet<netsim::HostId> = pool
-                .partition_members(1, 12, seed)
-                .into_iter()
-                .flatten()
-                .collect();
-            let mut faults = simcore::FaultPlan::none();
-            for h in pool.net.hosts.ids() {
-                if !member_hosts.contains(&h) && h.0 % 3 == 0 {
-                    faults = faults.crash_forever(h.0 as u64, SimTime::from_secs(700 + h.0 as u64));
-                }
-            }
+            let (faults, _) = crash_non_members(&pool, 1, seed, 3);
             let cfg = MarketConfig {
                 faults,
                 full_crash_replan: full,

@@ -56,15 +56,11 @@ pub struct PlanConfig {
     pub radius_ms: f64,
     /// Helper scoring strategy.
     pub strategy: HelperStrategy,
-    /// Candidate budget of a query-based discovery
-    /// ([`plan_and_reserve_from_query`]): the `k` of the top-k idle-helper
-    /// query. Matches [`crate::ResourceReport::DEFAULT_CAP`] by default, so
-    /// the query path sees the same truncation budget as the snapshot view.
+    /// Candidate budget of a query-based discovery ([`Discovery::Query`]):
+    /// the `k` of the pool-wide top-k idle-helper query. Matches
+    /// [`crate::ResourceReport::DEFAULT_CAP`] by default, so the query path
+    /// sees the same truncation budget as the snapshot view.
     pub query_k: usize,
-    /// Query-based discovery scope: `true` descends from the task manager's
-    /// nearest SOMO ancestor that provably covers the demand (the paper's
-    /// locality discipline), `false` from the root (pool-wide exact top-k).
-    pub query_local: bool,
     /// Trees planned per session: the primary plus `k_trees - 1`
     /// degree-disjoint standby trees ([`plan_standby_trees`]). 1 (the
     /// default) reproduces the single-tree planner bit for bit.
@@ -87,10 +83,21 @@ impl Default for PlanConfig {
             radius_ms: 100.0,
             strategy: HelperStrategy::MinMaxSibling,
             query_k: crate::ResourceReport::DEFAULT_CAP,
-            query_local: false,
             k_trees: 1,
             stream_kbps: 128.0,
         }
+    }
+}
+
+impl PlanConfig {
+    /// The helper pool the planners recruit from: `candidates` under this
+    /// configuration's degree floor, radius and scoring strategy.
+    fn helper_pool(&self, candidates: &[HostId]) -> HelperPool {
+        let mut hp = HelperPool::new(candidates.to_vec());
+        hp.min_degree = self.helper_min_degree;
+        hp.radius_ms = self.radius_ms;
+        hp.strategy = self.strategy;
+        hp
     }
 }
 
@@ -138,307 +145,60 @@ pub struct PlanOutcome {
     pub latency_calls: u64,
 }
 
-/// Plan a session's tree against current pool availability and reserve it.
+/// Where a task manager reads helper availability from.
+pub enum Discovery<'a> {
+    /// The live degree tables: reservations cannot fail.
+    Live,
+    /// A (possibly **stale**) SOMO snapshot view — what a deployed task
+    /// manager reads. Helpers it promised that refuse their reservation
+    /// (over-committed or crashed) are dropped and the plan retried.
+    View(&'a crate::ResourceReport),
+    /// A pool-wide top-k answer (`cfg.query_k` best idle helpers at the
+    /// session's rank) — the `O(log N)` path, stale like any cached view.
+    Query(&'a mut query::QueryIndex),
+    /// Live tables under fair-allocation caps: helpers booked at
+    /// [`FAIR_HELPER_RANK`] (free degrees only), at most `helper_budget`
+    /// helper degrees, a single tree (standby trees are a priority-mode
+    /// feature).
+    Fair(&'a FairShareCaps<'a>),
+}
+
+/// The task manager's procedure: release what the session holds, discover
+/// candidates, plan, and reserve — members at member rank, helpers at the
+/// helper rank, preempting lower-priority holders. Every reservation is a
+/// **lease** expiring at `lease_until` unless renewed (`None` reserves
+/// permanently): a manager that dies stops renewing and its degrees flow
+/// back to the pool. Refused helpers are dropped and the plan retried;
+/// past the retry budget the session plans members-only.
 ///
 /// # Panics
-/// If the session's member set is internally infeasible (a member with
-/// physical degree bound 0) — impossible with the paper's distribution.
+/// If `spec.priority` is outside 1..=3, or if the session's member set is
+/// internally infeasible (a member with physical degree bound 0) —
+/// impossible with the paper's distribution.
 pub fn plan_and_reserve(
     pool: &mut ResourcePool,
     spec: &SessionSpec,
     cfg: &PlanConfig,
-) -> PlanOutcome {
-    plan_and_reserve_leased(pool, spec, cfg, None)
-}
-
-/// [`plan_and_reserve`], but every reservation is a **lease** expiring at
-/// `lease_until` unless renewed (`None` reserves permanently). This is the
-/// crash-tolerant market's entry point: the task manager's replan period
-/// doubles as its renewal heartbeat, so a manager that dies simply stops
-/// renewing and its degrees flow back to the pool.
-pub fn plan_and_reserve_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
+    discovery: Discovery<'_>,
     lease_until: Option<SimTime>,
 ) -> PlanOutcome {
     assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
     // Replanning is all-or-nothing: drop current holdings first.
     pool.release_session(spec.id);
-
-    let helper_rank = Rank::helper(spec.priority);
-    let candidates = if cfg.use_helpers {
-        pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree)
-    } else {
-        Vec::new()
+    let caps = match &discovery {
+        Discovery::Fair(caps) => Some(*caps),
+        _ => None,
     };
-    // Fresh availability straight from the degree tables: reservations
-    // cannot fail, so the retry loop exits on its first pass.
-    let stale_avail: Vec<(HostId, u32)> = candidates
-        .iter()
-        .map(|&h| (h, pool.available(h, helper_rank)))
-        .collect();
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
-}
+    let (mut candidates, believed_avail) = discover(pool, spec, cfg, discovery);
 
-/// The rank every session's helper claims are booked at under the fair
-/// allocation modes ([`plan_and_reserve_fair_leased`]): the weakest helper
-/// rank. Equal ranks never preempt each other, so fair-mode sessions can
-/// only take **free** degrees — scarcity is resolved by the share budget,
-/// not by evicting a neighbor's tree.
-pub const FAIR_HELPER_RANK: Rank = Rank(3);
-
-/// Reservation caps a fair-allocation planner runs under — the knobs the
-/// market's Pareto water-filling and degraded admissions turn.
-#[derive(Clone, Debug)]
-pub struct FairShareCaps {
-    /// Total helper degrees the session may claim across all helpers (its
-    /// water-filled fair share, or a degraded admission's trimmed budget).
-    pub helper_budget: u64,
-    /// Per-member degree clamp for the planning pass (`None` = full
-    /// availability). The clamp never goes below 2 so a chain topology
-    /// stays feasible; if even the clamped plan fails, the planner retries
-    /// against full member availability — degradation must not kill the
-    /// session.
-    pub member_degree: Option<u32>,
-    /// Hosts barred from helper candidacy. The admission mode passes every
-    /// market member host here: member-rank reservations then can never
-    /// land on another session's helper claim, which (with the equal-rank
-    /// booking) makes zero preemption a structural guarantee.
-    pub exclude: std::collections::HashSet<HostId>,
-}
-
-/// [`plan_and_reserve_leased`] under fair-allocation caps: helper claims
-/// are booked at [`FAIR_HELPER_RANK`] regardless of the session's priority
-/// (so they only take free degrees), total helper degrees reserved are
-/// capped at `caps.helper_budget`, and the session plans a single tree
-/// (standby redundancy is a priority-mode feature). The capped plan is
-/// attempted via the fallible planners; if the caps cannot host a tree the
-/// session falls back to members-only rather than failing.
-pub fn plan_and_reserve_fair_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    caps: &FairShareCaps,
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    pool.release_session(spec.id);
-
-    let mut candidates = if cfg.use_helpers && caps.helper_budget > 0 {
-        pool.candidates(FAIR_HELPER_RANK, &spec.members, cfg.helper_min_degree)
-    } else {
-        Vec::new()
-    };
-    candidates.retain(|h| !caps.exclude.contains(h));
-    // Order the survivors by their value to THIS session — nearest to the
-    // member set first — so the budget trim below keeps the helpers the
-    // planner can actually use, not an arbitrary prefix of the pool. The
-    // sort is fully deterministic: latency is a pure function of the
-    // configured oracle's state (promotions happen before any lookup,
-    // and lookups never mutate), ties break by host id.
-    pool.promote_hot(&spec.members);
-    pool.promote_hot(&candidates);
-    let oracle = pool.planning_oracle();
-    let mut keyed: Vec<(f64, HostId)> = candidates
-        .iter()
-        .map(|&h| {
-            let near = spec
-                .members
-                .iter()
-                .map(|&m| oracle.latency_ms(h, m))
-                .fold(f64::INFINITY, f64::min);
-            (near, h)
-        })
-        .collect();
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let candidates: Vec<HostId> = keyed.into_iter().map(|(_, h)| h).collect();
-    // The share budget is enforced at reservation time (`PlanShape::
-    // helper_budget`), not by trimming the candidate list: the planner
-    // sees the pool's full breadth — helper *quality* is a planning
-    // concern — while the degrees it may actually claim stay capped. A
-    // mass-based candidate trim would starve the planner of good hosts
-    // long before the budget binds.
-    let stale_avail: Vec<(HostId, u32)> = candidates
-        .iter()
-        .map(|&h| (h, pool.available(h, FAIR_HELPER_RANK)))
-        .filter(|&(_, free)| free > 0)
-        .collect();
-    let candidates: Vec<HostId> = stale_avail.iter().map(|&(h, _)| h).collect();
-    let single = PlanConfig {
-        k_trees: 1,
-        ..cfg.clone()
-    };
-    let shape = PlanShape {
-        helper_rank: FAIR_HELPER_RANK,
-        member_degree: caps.member_degree,
-        helper_budget: caps.helper_budget,
-    };
-    plan_shaped(
-        pool,
-        spec,
-        &single,
-        candidates,
-        &stale_avail,
-        lease_until,
-        shape,
-    )
-}
-
-/// How [`plan_with_candidates`] books and bounds its reservations. The
-/// default shape (priority-rank helpers, unclamped members) reproduces the
-/// historical planner bit for bit; the fair modes override it.
-#[derive(Clone, Copy, Debug)]
-struct PlanShape {
-    /// Rank helper claims are booked at.
-    helper_rank: Rank,
-    /// Optional per-member degree clamp for the planning pass.
-    member_degree: Option<u32>,
-    /// Total helper degrees the reservation pass may claim. A helper
-    /// whose tree degree would push the running total past the budget is
-    /// refused like a stale-view lie: the retry loop replans without it.
-    /// `u64::MAX` (the historical shape) never refuses.
-    helper_budget: u64,
-}
-
-/// Plan from an explicit (possibly **stale**) SOMO view instead of the live
-/// degree tables — what a deployed task manager actually does. Helpers the
-/// view promised but that are no longer available fail at reservation time;
-/// the task manager then drops them from the candidate set and replans
-/// (bounded retries), exactly like contacting a peer and being refused.
-pub fn plan_and_reserve_from_view(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    view: &crate::ResourceReport,
-) -> PlanOutcome {
-    plan_and_reserve_from_view_leased(pool, spec, cfg, view, None)
-}
-
-/// [`plan_and_reserve_from_view`] with leased reservations (see
-/// [`plan_and_reserve_leased`]). A crashed candidate promised by the stale
-/// view refuses its reservation like any over-committed host; the retry
-/// loop absorbs it.
-pub fn plan_and_reserve_from_view_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    view: &crate::ResourceReport,
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    pool.release_session(spec.id);
-
-    let rank_idx = spec.priority as usize; // avail[] index for helper rank
-    let candidates: Vec<HostId> = if cfg.use_helpers {
-        view.candidates_at(rank_idx, cfg.helper_min_degree)
-            .filter(|h| !spec.members.contains(h))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let stale_avail: Vec<(HostId, u32)> = view
-        .entries
-        .iter()
-        .filter(|e| candidates.contains(&e.host))
-        .map(|e| (e.host, e.avail[rank_idx]))
-        .collect();
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
-}
-
-/// Plan from a scoped **top-k query answer** instead of a full snapshot —
-/// the `O(log N)` discovery path. The task manager asks the aggregation
-/// tree for the `cfg.query_k` best idle helpers at its priority rank
-/// (excluding its own members), descending from the SOMO root or, with
-/// `cfg.query_local`, from its nearest covering ancestor. The answer's
-/// samples become the candidate set and the believed availability; like any
-/// cached view they can be stale, so refused reservations are absorbed by
-/// the same bounded-retry loop as the snapshot path.
-pub fn plan_and_reserve_from_query(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    index: &mut query::QueryIndex,
-) -> PlanOutcome {
-    plan_and_reserve_from_query_leased(pool, spec, cfg, index, None)
-}
-
-/// [`plan_and_reserve_from_query`] with leased reservations (see
-/// [`plan_and_reserve_leased`]).
-pub fn plan_and_reserve_from_query_leased(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    index: &mut query::QueryIndex,
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    assert!((1..=3).contains(&spec.priority), "priority must be 1..=3");
-    pool.release_session(spec.id);
-
-    let rank_idx = spec.priority as usize; // free[] index for helper rank
-    let (candidates, stale_avail): (Vec<HostId>, Vec<(HostId, u32)>) = if cfg.use_helpers {
-        let scope = if cfg.query_local {
-            index
-                .member_of(spec.root)
-                .map(|m| query::Scope::Nearest { member: m as u32 })
-                .unwrap_or(query::Scope::Global)
-        } else {
-            query::Scope::Global
-        };
-        let ans = index.top_k(
-            cfg.query_k,
-            rank_idx,
-            cfg.helper_min_degree,
-            &spec.members,
-            scope,
-        );
-        (
-            ans.hosts.iter().map(|s| s.host).collect(),
-            ans.hosts
-                .iter()
-                .map(|s| (s.host, s.free[rank_idx]))
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    plan_with_candidates(pool, spec, cfg, candidates, &stale_avail, lease_until)
-}
-
-/// Shared planning + reservation loop. `stale_avail` is the availability
-/// the planner believes (fresh or from a view); the reservation step runs
-/// against the live tables, and helpers that fail are dropped and the plan
-/// retried.
-fn plan_with_candidates(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    candidates: Vec<HostId>,
-    stale_avail: &[(HostId, u32)],
-    lease_until: Option<SimTime>,
-) -> PlanOutcome {
-    let shape = PlanShape {
-        helper_rank: Rank::helper(spec.priority),
-        member_degree: None,
-        helper_budget: u64::MAX,
-    };
-    plan_shaped(pool, spec, cfg, candidates, stale_avail, lease_until, shape)
-}
-
-/// [`plan_with_candidates`] with the reservation shape explicit — the
-/// common engine behind the historical priority planner and the fair-mode
-/// capped planner.
-fn plan_shaped(
-    pool: &mut ResourcePool,
-    spec: &SessionSpec,
-    cfg: &PlanConfig,
-    mut candidates: Vec<HostId>,
-    stale_avail: &[(HostId, u32)],
-    lease_until: Option<SimTime>,
-    shape: PlanShape,
-) -> PlanOutcome {
-    let helper_rank = shape.helper_rank;
-    let stale: std::collections::HashMap<HostId, u32> = stale_avail.iter().copied().collect();
+    let helper_rank = caps.map_or(Rank::helper(spec.priority), |_| FAIR_HELPER_RANK);
+    // The fair-share budget is enforced at reservation time, not by
+    // trimming the candidate list, so the planner still sees the pool's
+    // full breadth: a helper whose tree degree would push the running total
+    // past the budget is refused like a stale-view lie and the retry loop
+    // replans without it. `u64::MAX` (priority mode) never refuses.
+    let helper_budget = caps.map_or(u64::MAX, |c| c.helper_budget);
+    let stale: std::collections::HashMap<HostId, u32> = believed_avail.into_iter().collect();
     // Per-plan counter window: everything from the baseline evaluation to
     // the final retry is this plan's work.
     let rel0 = alm::metrics::relaxations();
@@ -456,15 +216,20 @@ fn plan_shaped(
     pool.promote_hot(&candidates);
     let oracle = pool.planning_oracle();
 
+    // The planning pass may first run against tightened member bounds.
     // A multipath session budgets its members: each future standby tree
     // needs at least a parent link (and the root a child slot) on every
     // member, so the primary leaves one degree unit per extra tree behind
-    // when it can. The budgeted attempt is fallible — if the tightened
-    // bounds cannot host a tree, the primary replans with full availability
-    // (robustness must never cost the primary). `k_trees = 1` skips the
-    // attempt entirely — bit-identical to the historical planner.
-    let standby_budget = cfg.k_trees.saturating_sub(1) as u32;
-    let budgeted = |avail: u32| avail.saturating_sub(standby_budget).max(avail.min(1));
+    // when it can. A degraded admission instead clamps every member's
+    // degree (never below 2, so a chain stays feasible). Fair modes plan a
+    // single tree, so the two never apply together.
+    let k_trees = if caps.is_some() { 1 } else { cfg.k_trees };
+    let standby_budget = k_trees.saturating_sub(1) as u32;
+    let member_degree = caps.and_then(|c| c.member_degree);
+    let tighten = |avail: u32| match member_degree {
+        Some(cap) => avail.min(cap.max(2)),
+        None => avail.saturating_sub(standby_budget).max(avail.min(1)),
+    };
 
     const MAX_RETRIES: usize = 5;
     for attempt in 0.. {
@@ -478,99 +243,42 @@ fn plan_shaped(
             avail_map.insert(h, stale.get(&h).copied().unwrap_or(0));
         }
 
-        let budgeted_tree = if standby_budget > 0 {
-            let mut bmap = avail_map.clone();
-            for &m in &spec.members {
-                bmap.entry(m).and_modify(|a| *a = budgeted(*a));
-            }
-            let avail_b = |h: HostId| -> u32 { bmap.get(&h).copied().unwrap_or(0) };
+        let plan = |map: &std::collections::HashMap<HostId, u32>| {
+            let avail = |h: HostId| -> u32 { map.get(&h).copied().unwrap_or(0) };
             match cfg.model {
-                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail_b, &candidates, cfg),
-                PlanModel::Coords => {
-                    let mut hp = HelperPool::new(candidates.clone());
-                    hp.min_degree = cfg.helper_min_degree;
-                    hp.radius_ms = cfg.radius_ms;
-                    hp.strategy = cfg.strategy;
-                    alm::try_staged_plan(
-                        spec.root,
-                        &spec.members,
-                        &oracle,
-                        &pool.coords,
-                        avail_b,
-                        &hp,
-                        cfg.use_adjust,
-                    )
-                }
+                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg),
+                // The practical loop: shortlist helpers through
+                // coordinates, measure the contacted ones, replan on
+                // measurements.
+                PlanModel::Coords => alm::try_staged_plan(
+                    spec.root,
+                    &spec.members,
+                    &oracle,
+                    &pool.coords,
+                    avail,
+                    &cfg.helper_pool(&candidates),
+                    cfg.use_adjust,
+                ),
             }
-        } else {
-            None
         };
+        // The tightened attempt is fallible: if the trimmed bounds cannot
+        // host a tree, the session replans with full availability —
+        // robustness and degradation must never kill the primary.
+        let tightened = (standby_budget > 0 || member_degree.is_some()).then(|| {
+            let mut tmap = avail_map.clone();
+            for &m in &spec.members {
+                tmap.entry(m).and_modify(|a| *a = tighten(*a));
+            }
+            tmap
+        });
+        let tree = tightened.and_then(|tmap| plan(&tmap)).unwrap_or_else(|| {
+            plan(&avail_map).expect("tree out of capacity for remaining members")
+        });
 
-        // A degraded admission clamps every member's degree (never below 2,
-        // so a chain stays feasible). The clamped plan is fallible: if the
-        // trimmed bounds cannot host a tree, the full-availability path
-        // below takes over — degradation must not kill the session.
-        let clamped_tree = if budgeted_tree.is_none() {
-            shape.member_degree.and_then(|cap| {
-                let mut cmap = avail_map.clone();
-                for &m in &spec.members {
-                    cmap.entry(m).and_modify(|a| *a = (*a).min(cap.max(2)));
-                }
-                let avail_c = |h: HostId| -> u32 { cmap.get(&h).copied().unwrap_or(0) };
-                match cfg.model {
-                    PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail_c, &candidates, cfg),
-                    PlanModel::Coords => {
-                        let mut hp = HelperPool::new(candidates.clone());
-                        hp.min_degree = cfg.helper_min_degree;
-                        hp.radius_ms = cfg.radius_ms;
-                        hp.strategy = cfg.strategy;
-                        alm::try_staged_plan(
-                            spec.root,
-                            &spec.members,
-                            &oracle,
-                            &pool.coords,
-                            avail_c,
-                            &hp,
-                            cfg.use_adjust,
-                        )
-                    }
-                }
-            })
-        } else {
-            None
-        };
-
-        let avail = |h: HostId| -> u32 { avail_map.get(&h).copied().unwrap_or(0) };
-        let tree = match budgeted_tree.or(clamped_tree) {
-            Some(t) => t,
-            None => match cfg.model {
-                PlanModel::Oracle => try_plan_tree(spec, &oracle, &avail, &candidates, cfg)
-                    .expect("tree out of capacity for remaining members"),
-                PlanModel::Coords => {
-                    // The practical loop: shortlist helpers through
-                    // coordinates, measure the contacted ones, replan on
-                    // measurements.
-                    let mut hp = HelperPool::new(candidates.clone());
-                    hp.min_degree = cfg.helper_min_degree;
-                    hp.radius_ms = cfg.radius_ms;
-                    hp.strategy = cfg.strategy;
-                    alm::staged_plan(
-                        spec.root,
-                        &spec.members,
-                        &oracle,
-                        &pool.coords,
-                        avail,
-                        &hp,
-                        cfg.use_adjust,
-                    )
-                }
-            },
-        };
-
-        // Reserve the tree: members at member rank, helpers at priority
+        // Reserve the tree: members at member rank, helpers at the helper
         // rank. Helper reservations may fail against a stale view, or be
-        // refused by the shape's helper budget (fair modes) — both land
-        // in the same retry loop.
+        // refused by the helper budget (fair modes) — both land in the
+        // same retry loop.
         let mut preempted = Vec::new();
         let mut failed: Vec<HostId> = Vec::new();
         let mut helper_spend = 0u64;
@@ -581,7 +289,7 @@ fn plan_shaped(
             } else {
                 helper_rank
             };
-            if rank != Rank::MEMBER && helper_spend + degree as u64 > shape.helper_budget {
+            if rank != Rank::MEMBER && helper_spend + degree as u64 > helper_budget {
                 failed.push(h);
                 continue;
             }
@@ -602,19 +310,17 @@ fn plan_shaped(
             }
         }
 
-        if !failed.is_empty() && attempt < MAX_RETRIES {
-            // The view lied about these hosts; drop them and replan.
-            helper_failures += failed.len() as u32;
-            pool.release_session(spec.id);
-            candidates.retain(|c| !failed.contains(c));
-            continue;
-        }
         if !failed.is_empty() {
-            // Out of retries: fall back to a members-only plan.
+            // The view lied about these hosts; drop them and replan. Out of
+            // retries, fall back to a members-only plan, which cannot fail.
             helper_failures += failed.len() as u32;
             pool.release_session(spec.id);
-            candidates.clear();
-            continue; // next pass plans without helpers and cannot fail
+            if attempt < MAX_RETRIES {
+                candidates.retain(|c| !failed.contains(c));
+            } else {
+                candidates.clear();
+            }
+            continue;
         }
 
         preempted.sort_unstable();
@@ -641,6 +347,161 @@ fn plan_shaped(
         };
     }
     unreachable!("the members-only fallback always succeeds")
+}
+
+/// [`plan_and_reserve`] over [`Discovery::Live`], kept for `perfbench`;
+/// remove with `MarketConfig::plan_threads` in the next benchmark change.
+pub fn plan_and_reserve_leased(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    lease_until: Option<SimTime>,
+) -> PlanOutcome {
+    plan_and_reserve(pool, spec, cfg, Discovery::Live, lease_until)
+}
+
+/// [`plan_and_reserve`] over [`Discovery::View`], kept for `perfbench`;
+/// remove with `MarketConfig::plan_threads` in the next benchmark change.
+pub fn plan_and_reserve_from_view_leased(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    view: &crate::ResourceReport,
+    lease_until: Option<SimTime>,
+) -> PlanOutcome {
+    plan_and_reserve(pool, spec, cfg, Discovery::View(view), lease_until)
+}
+
+/// [`plan_and_reserve`] over [`Discovery::Query`], kept for `perfbench`;
+/// remove with `MarketConfig::plan_threads` in the next benchmark change.
+pub fn plan_and_reserve_from_query_leased(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    index: &mut query::QueryIndex,
+    lease_until: Option<SimTime>,
+) -> PlanOutcome {
+    plan_and_reserve(pool, spec, cfg, Discovery::Query(index), lease_until)
+}
+
+/// The rank every session's helper claims are booked at under the fair
+/// allocation modes ([`Discovery::Fair`]): the weakest helper rank. Equal
+/// ranks never preempt each other, so fair-mode sessions can only take
+/// **free** degrees — scarcity is resolved by the share budget, not by
+/// evicting a neighbor's tree.
+pub const FAIR_HELPER_RANK: Rank = Rank(3);
+
+/// Reservation caps a fair-allocation planner runs under — the knobs the
+/// market's Pareto water-filling and degraded admissions turn.
+#[derive(Clone, Debug)]
+pub struct FairShareCaps<'a> {
+    /// Total helper degrees the session may claim across all helpers (its
+    /// water-filled fair share, or a degraded admission's trimmed budget).
+    pub helper_budget: u64,
+    /// Per-member degree clamp for the planning pass (`None` = full
+    /// availability); never below 2, and dropped if the clamped plan fails.
+    pub member_degree: Option<u32>,
+    /// Hosts barred from helper candidacy. The admission mode passes every
+    /// market member host here: member-rank reservations then can never
+    /// land on another session's helper claim, which (with the equal-rank
+    /// booking) makes zero preemption a structural guarantee.
+    pub exclude: &'a std::collections::HashSet<HostId>,
+}
+
+/// Read the helper candidates and the availability the planner believes
+/// for each (fresh from the tables, or from a view that may be stale).
+fn discover(
+    pool: &mut ResourcePool,
+    spec: &SessionSpec,
+    cfg: &PlanConfig,
+    discovery: Discovery<'_>,
+) -> (Vec<HostId>, Vec<(HostId, u32)>) {
+    let rank_idx = spec.priority as usize; // avail[]/free[] index for helper rank
+    match discovery {
+        Discovery::Live => {
+            let helper_rank = Rank::helper(spec.priority);
+            let candidates = if cfg.use_helpers {
+                pool.candidates(helper_rank, &spec.members, cfg.helper_min_degree)
+            } else {
+                Vec::new()
+            };
+            let believed = candidates
+                .iter()
+                .map(|&h| (h, pool.available(h, helper_rank)))
+                .collect();
+            (candidates, believed)
+        }
+        Discovery::View(view) => {
+            let candidates: Vec<HostId> = if cfg.use_helpers {
+                view.candidates_at(rank_idx, cfg.helper_min_degree)
+                    .filter(|h| !spec.members.contains(h))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let believed = view
+                .entries
+                .iter()
+                .filter(|e| candidates.contains(&e.host))
+                .map(|e| (e.host, e.avail[rank_idx]))
+                .collect();
+            (candidates, believed)
+        }
+        Discovery::Query(index) => {
+            if !cfg.use_helpers {
+                return (Vec::new(), Vec::new());
+            }
+            let ans = index.top_k(
+                cfg.query_k,
+                rank_idx,
+                cfg.helper_min_degree,
+                &spec.members,
+                query::Scope::Global,
+            );
+            (
+                ans.hosts.iter().map(|s| s.host).collect(),
+                ans.hosts
+                    .iter()
+                    .map(|s| (s.host, s.free[rank_idx]))
+                    .collect(),
+            )
+        }
+        Discovery::Fair(caps) => {
+            let mut candidates = if cfg.use_helpers && caps.helper_budget > 0 {
+                pool.candidates(FAIR_HELPER_RANK, &spec.members, cfg.helper_min_degree)
+            } else {
+                Vec::new()
+            };
+            candidates.retain(|h| !caps.exclude.contains(h));
+            // Order the survivors by their value to THIS session — nearest
+            // to the member set first — so the planner meets the helpers it
+            // can actually use first, not an arbitrary prefix of the pool.
+            // The sort is fully deterministic: latency is a pure function
+            // of the configured oracle's state (promotions happen before
+            // any lookup, and lookups never mutate), ties break by host id.
+            pool.promote_hot(&spec.members);
+            pool.promote_hot(&candidates);
+            let oracle = pool.planning_oracle();
+            let mut keyed: Vec<(f64, HostId)> = candidates
+                .iter()
+                .map(|&h| {
+                    let near = spec
+                        .members
+                        .iter()
+                        .map(|&m| oracle.latency_ms(h, m))
+                        .fold(f64::INFINITY, f64::min);
+                    (near, h)
+                })
+                .collect();
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let believed: Vec<(HostId, u32)> = keyed
+                .into_iter()
+                .map(|(_, h)| (h, pool.available(h, FAIR_HELPER_RANK)))
+                .filter(|&(_, free)| free > 0)
+                .collect();
+            (believed.iter().map(|&(h, _)| h).collect(), believed)
+        }
+    }
 }
 
 /// Result of planning a session's standby trees (trees 2..=k of a
@@ -874,11 +735,7 @@ fn try_plan_tree<L: LatencyModel>(
 ) -> Option<MulticastTree> {
     let p = Problem::new(spec.root, spec.members.clone(), model, avail);
     let mut tree = if cfg.use_helpers && !candidates.is_empty() {
-        let mut hp = HelperPool::new(candidates.to_vec());
-        hp.min_degree = cfg.helper_min_degree;
-        hp.radius_ms = cfg.radius_ms;
-        hp.strategy = cfg.strategy;
-        try_critical(&p, &hp)?
+        try_critical(&p, &cfg.helper_pool(candidates))?
     } else {
         try_amcast(&p)?
     };
@@ -929,7 +786,7 @@ mod tests {
     fn plan_reserves_exactly_the_tree_degrees() {
         let mut pool = small_pool(1);
         let s = spec(&pool, 1, 2, 10);
-        let out = plan_and_reserve(&mut pool, &s, &PlanConfig::default());
+        let out = plan_and_reserve(&mut pool, &s, &PlanConfig::default(), Discovery::Live, None);
         for &h in out.tree.hosts() {
             assert_eq!(
                 pool.table(h).held_by(SessionId(1)),
@@ -951,7 +808,7 @@ mod tests {
     fn release_returns_pool_to_empty() {
         let mut pool = small_pool(2);
         let s = spec(&pool, 1, 1, 11);
-        plan_and_reserve(&mut pool, &s, &PlanConfig::default());
+        plan_and_reserve(&mut pool, &s, &PlanConfig::default(), Discovery::Live, None);
         assert!(pool.total_used() > 0);
         pool.release_session(SessionId(1));
         assert_eq!(pool.total_used(), 0);
@@ -961,9 +818,9 @@ mod tests {
     fn replan_is_idempotent_in_holdings() {
         let mut pool = small_pool(3);
         let s = spec(&pool, 1, 2, 12);
-        let a = plan_and_reserve(&mut pool, &s, &PlanConfig::default());
+        let a = plan_and_reserve(&mut pool, &s, &PlanConfig::default(), Discovery::Live, None);
         let used_a = pool.total_used();
-        let b = plan_and_reserve(&mut pool, &s, &PlanConfig::default());
+        let b = plan_and_reserve(&mut pool, &s, &PlanConfig::default(), Discovery::Live, None);
         assert_eq!(pool.total_used(), used_a, "replan leaked degrees");
         assert_eq!(a.oracle_height, b.oracle_height);
     }
@@ -979,7 +836,7 @@ mod tests {
         let runs = 6;
         for i in 0..runs {
             let s = spec(&pool, 100 + i, 1, 20 + i as u64);
-            let out = plan_and_reserve(&mut pool, &s, &cfg);
+            let out = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
             pool.release_session(s.id);
             total += out.improvement;
         }
@@ -995,7 +852,7 @@ mod tests {
         let runs = 6;
         for i in 0..runs {
             let s = spec(&pool, 200 + i, 1, 40 + i as u64);
-            let out = plan_and_reserve(&mut pool, &s, &cfg);
+            let out = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
             pool.release_session(s.id);
             total += out.improvement;
         }
@@ -1029,7 +886,7 @@ mod tests {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         };
-        let out_low = plan_and_reserve(&mut pool, &low, &cfg);
+        let out_low = plan_and_reserve(&mut pool, &low, &cfg, Discovery::Live, None);
         let held_before: u32 = out_low
             .tree
             .hosts()
@@ -1037,7 +894,7 @@ mod tests {
             .map(|&h| pool.table(h).held_by(SessionId(1)))
             .sum();
         assert!(held_before > 0);
-        let out_high = plan_and_reserve(&mut pool, &high, &cfg);
+        let out_high = plan_and_reserve(&mut pool, &high, &cfg, Discovery::Live, None);
         // If the high-priority session preempted anyone, it must be s1.
         for s in &out_high.preempted {
             assert_eq!(*s, SessionId(1));
@@ -1045,7 +902,7 @@ mod tests {
         // And s1 never preempts s2 on replan at rank 3 (helpers), though
         // member-rank claims may: check helper claims only is implicit in
         // preempted list semantics — replan and verify.
-        let out_low2 = plan_and_reserve(&mut pool, &low, &cfg);
+        let out_low2 = plan_and_reserve(&mut pool, &low, &cfg, Discovery::Live, None);
         // s1's helper claims cannot displace s2's helper claims; any
         // preemption it caused must have been via its *member* nodes.
         for &h in out_low2.tree.hosts() {
@@ -1068,10 +925,10 @@ mod tests {
             ..PlanConfig::default()
         };
         let view = pool.snapshot_report(usize::MAX);
-        let from_view = plan_and_reserve_from_view(&mut pool, &s, &cfg, &view);
+        let from_view = plan_and_reserve(&mut pool, &s, &cfg, Discovery::View(&view), None);
         assert_eq!(from_view.helper_failures, 0, "fresh view caused failures");
         pool.release_session(s.id);
-        let live = plan_and_reserve(&mut pool, &s, &cfg);
+        let live = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         assert_eq!(from_view.oracle_height, live.oracle_height);
         assert_eq!(from_view.helpers, live.helpers);
     }
@@ -1094,7 +951,7 @@ mod tests {
                 root: members[0],
                 members: members.clone(),
             };
-            plan_and_reserve(&mut pool, &s, &cfg);
+            plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         }
         // A low-priority probe plans from the stale view: helpers it was
         // promised may refuse (it cannot preempt priority 1), but the plan
@@ -1105,7 +962,7 @@ mod tests {
             root: sets[3][0],
             members: sets[3].clone(),
         };
-        let out = plan_and_reserve_from_view(&mut pool, &probe, &cfg, &stale_view);
+        let out = plan_and_reserve(&mut pool, &probe, &cfg, Discovery::View(&stale_view), None);
         out.tree
             .validate(&pool.net.latency, |h| pool.net.hosts.degree_bound(h))
             .unwrap();
@@ -1126,7 +983,13 @@ mod tests {
         let mut pool = small_pool(12);
         let s = spec(&pool, 44, 2, 90);
         let lease = SimTime::from_secs(300);
-        let out = plan_and_reserve_leased(&mut pool, &s, &PlanConfig::default(), Some(lease));
+        let out = plan_and_reserve(
+            &mut pool,
+            &s,
+            &PlanConfig::default(),
+            Discovery::Live,
+            Some(lease),
+        );
         let held = pool.held_total(SessionId(44));
         assert!(held > 0);
         assert_eq!(
@@ -1164,12 +1027,12 @@ mod tests {
         };
         // Snapshot, then crash the best helpers the view promised.
         let view = pool.snapshot_report(usize::MAX);
-        let reference = plan_and_reserve(&mut pool, &s, &cfg);
+        let reference = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         pool.release_session(s.id);
         for &h in &reference.helpers {
             pool.kill_host(h);
         }
-        let out = plan_and_reserve_from_view(&mut pool, &s, &cfg, &view);
+        let out = plan_and_reserve(&mut pool, &s, &cfg, Discovery::View(&view), None);
         if !reference.helpers.is_empty() {
             assert!(
                 out.helper_failures > 0,
@@ -1193,7 +1056,7 @@ mod tests {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         };
-        let out = plan_and_reserve(&mut pool, &s, &cfg);
+        let out = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         assert!(out.helpers.is_empty());
         assert_eq!(out.tree.len(), s.members.len());
         assert!((out.oracle_height - out.baseline_height).abs() < 1e-6);
@@ -1201,11 +1064,68 @@ mod tests {
     }
 
     #[test]
+    fn fair_plan_books_free_degrees_within_budget_and_exclusions() {
+        let mut pool = small_pool(16);
+        let cfg = PlanConfig {
+            model: PlanModel::Oracle,
+            ..PlanConfig::default()
+        };
+        let sets = pool.partition_members(2, 20, 110);
+        let [low, high] = [(0, 3), (1, 1)].map(|(i, priority)| SessionSpec {
+            id: SessionId(i as u32 + 1),
+            priority,
+            root: sets[i][0],
+            members: sets[i].clone(),
+        });
+        // A lower-class session holds helper degrees, kept off every member
+        // host (the admission discipline) so no member claim lands on one.
+        let members: std::collections::HashSet<HostId> = sets.iter().flatten().copied().collect();
+        let unlimited = FairShareCaps {
+            helper_budget: u64::MAX,
+            member_degree: None,
+            exclude: &members,
+        };
+        let low_out = plan_and_reserve(&mut pool, &low, &cfg, Discovery::Fair(&unlimited), None);
+        assert!(!low_out.helpers.is_empty());
+        // At its own priority the high session would evict the low one.
+        let live = plan_and_reserve(&mut pool.clone(), &high, &cfg, Discovery::Live, None);
+        assert_eq!(live.preempted, vec![low.id]);
+        // Under fair caps it may not; its ten best candidates are barred too.
+        let mut exclude = members.clone();
+        let best = pool.candidates(FAIR_HELPER_RANK, &high.members, cfg.helper_min_degree);
+        exclude.extend(best.into_iter().take(10));
+        let caps = FairShareCaps {
+            helper_budget: 12,
+            member_degree: Some(3),
+            exclude: &exclude,
+        };
+        let out = plan_and_reserve(&mut pool, &high, &cfg, Discovery::Fair(&caps), None);
+        let mut helper_degrees = 0u64;
+        for &h in &out.helpers {
+            assert!(!caps.exclude.contains(&h), "excluded host {h:?} recruited");
+            for a in pool
+                .table(h)
+                .allocations()
+                .iter()
+                .filter(|a| a.session == high.id)
+            {
+                assert_eq!(a.rank, FAIR_HELPER_RANK, "helper claim on {h:?}");
+                helper_degrees += a.count as u64;
+            }
+        }
+        assert!(
+            helper_degrees <= caps.helper_budget,
+            "{helper_degrees} over budget"
+        );
+        assert!(out.preempted.is_empty(), "preempted {:?}", out.preempted);
+    }
+
+    #[test]
     fn k1_plans_no_standby_trees() {
         let mut pool = small_pool(14);
         let s = spec(&pool, 77, 2, 100);
         let cfg = PlanConfig::default(); // k_trees = 1
-        let primary = plan_and_reserve(&mut pool, &s, &cfg);
+        let primary = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         let used = pool.total_used();
         let standby = plan_standby_trees(&mut pool, &s, &cfg, &primary.tree, &[], None);
         assert!(standby.trees.is_empty());
@@ -1226,7 +1146,7 @@ mod tests {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         };
-        let primary = plan_and_reserve(&mut pool, &s, &cfg);
+        let primary = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         let standby = plan_standby_trees(&mut pool, &s, &cfg, &primary.tree, &[], None);
         assert!(
             !standby.trees.is_empty(),
@@ -1283,7 +1203,7 @@ mod tests {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         };
-        let primary = plan_and_reserve(&mut pool, &s, &cfg);
+        let primary = plan_and_reserve(&mut pool, &s, &cfg, Discovery::Live, None);
         let standby = plan_standby_trees(&mut pool, &s, &cfg, &primary.tree, &[], None);
         assert_eq!(standby.trees.len(), 1);
         let t2 = &standby.trees[0];

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 
 use alm::multipath::check_disjointness;
 use netsim::{HostId, NetworkConfig};
-use pool::task_manager::{fanout_cap, plan_and_reserve, plan_standby_trees};
+use pool::task_manager::{fanout_cap, plan_and_reserve, plan_standby_trees, Discovery};
 use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
 use proptest::prelude::*;
 
@@ -53,7 +53,7 @@ proptest! {
                 members: sets[slot].clone(),
             };
             if do_plan {
-                let out = plan_and_reserve(&mut pool, &spec, &cfg);
+                let out = plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
                 active[slot] = true;
                 // Holdings equal the tree degrees exactly.
                 for &h in out.tree.hosts() {
@@ -119,7 +119,7 @@ proptest! {
                 root,
                 members,
             };
-            let out = plan_and_reserve(&mut pool, &spec, &cfg);
+            let out = plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
             let standby = plan_standby_trees(&mut pool, &spec, &cfg, &out.tree, &[], None);
             got_standby |= !standby.trees.is_empty();
 
@@ -171,7 +171,7 @@ proptest! {
                 root: sets[slot][0],
                 members: sets[slot].clone(),
             };
-            plan_and_reserve(&mut pool, &spec, &cfg);
+            plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
         }
         let report = pool.snapshot_report(usize::MAX);
         prop_assert_eq!(report.entries.len(), pool.num_hosts());

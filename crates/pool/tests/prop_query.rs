@@ -6,7 +6,7 @@
 use std::sync::OnceLock;
 
 use netsim::{HostId, NetworkConfig};
-use pool::task_manager::plan_and_reserve;
+use pool::task_manager::{plan_and_reserve, Discovery};
 use pool::{PlanConfig, PlanModel, PoolConfig, ResourcePool, SessionId, SessionSpec};
 use proptest::prelude::*;
 use simcore::SimTime;
@@ -77,7 +77,7 @@ proptest! {
                 root: sets[slot][0],
                 members: sets[slot].clone(),
             };
-            plan_and_reserve(&mut pool, &spec, &cfg);
+            plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
         }
         let now = SimTime::from_secs(100);
         let mut index = pool.build_query_index(SimTime::from_secs(60), now);

@@ -58,6 +58,8 @@ fn main() {
                 model: PlanModel::Oracle,
                 ..PlanConfig::default()
             },
+            Discovery::Live,
+            None,
         );
         // `oracle_height` is always evaluated under the exact matrix, so
         // the two numbers below are directly comparable: any gap is pure

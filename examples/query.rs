@@ -71,7 +71,13 @@ fn main() {
         root,
         members,
     };
-    let out = plan_and_reserve_from_query(&mut pool, &spec, &PlanConfig::default(), &mut index);
+    let out = plan_and_reserve(
+        &mut pool,
+        &spec,
+        &PlanConfig::default(),
+        Discovery::Query(&mut index),
+        None,
+    );
     println!(
         "planned session: {} helpers recruited, {:.1}% height improvement over members-only\n",
         out.helpers.len(),

@@ -44,6 +44,8 @@ fn main() {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         },
+        Discovery::Live,
+        None,
     );
     println!(
         "critical-node plan w/ helpers: height = {:.1} ms  ({:+.1}% improvement, {} helpers)",

@@ -34,7 +34,13 @@ fn main() {
             members,
         };
         // Practical planning: leafset coordinates + adjustment, helpers on.
-        let out = plan_and_reserve(&mut pool, &spec, &PlanConfig::default());
+        let out = plan_and_reserve(
+            &mut pool,
+            &spec,
+            &PlanConfig::default(),
+            Discovery::Live,
+            None,
+        );
         outcomes.push((names[i], spec.priority, out));
     }
 

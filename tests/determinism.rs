@@ -70,8 +70,8 @@ fn plans_are_identical_across_identical_pools() {
         members,
     };
     let cfg = PlanConfig::default(); // the staged Leafset pipeline
-    let out_a = plan_and_reserve(&mut a, &spec, &cfg);
-    let out_b = plan_and_reserve(&mut b, &spec, &cfg);
+    let out_a = plan_and_reserve(&mut a, &spec, &cfg, Discovery::Live, None);
+    let out_b = plan_and_reserve(&mut b, &spec, &cfg, Discovery::Live, None);
     assert_eq!(out_a.tree.hosts(), out_b.tree.hosts());
     assert_eq!(out_a.oracle_height, out_b.oracle_height);
     assert_eq!(out_a.helpers, out_b.helpers);

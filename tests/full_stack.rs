@@ -145,14 +145,15 @@ fn task_manager_plans_from_a_newscast_delivered_view() {
         root,
         members,
     };
-    let out = pool::task_manager::plan_and_reserve_from_view(
+    let out = pool::task_manager::plan_and_reserve(
         &mut pool,
         &spec,
         &PlanConfig {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         },
-        &view,
+        Discovery::View(&view),
+        None,
     );
     assert_eq!(out.helper_failures, 0, "view was fresh; nothing may fail");
     out.tree
@@ -180,6 +181,8 @@ fn end_to_end_session_beats_baseline_with_oracle_planning() {
                 model: PlanModel::Oracle,
                 ..PlanConfig::default()
             },
+            Discovery::Live,
+            None,
         );
         out.tree
             .validate(&pool.net.latency, |h| pool.net.hosts.degree_bound(h))
@@ -218,6 +221,8 @@ fn multi_session_improvements_sit_between_paper_bounds() {
                 model: PlanModel::Oracle,
                 ..PlanConfig::default()
             },
+            Discovery::Live,
+            None,
         );
         upper.push(out.improvement);
         pool.release_session(spec.id);
@@ -239,6 +244,8 @@ fn multi_session_improvements_sit_between_paper_bounds() {
                 model: PlanModel::Oracle,
                 ..PlanConfig::default()
             },
+            Discovery::Live,
+            None,
         );
         competing.push(out.improvement);
     }
@@ -269,7 +276,7 @@ fn session_survives_total_helper_loss() {
         model: PlanModel::Oracle,
         ..PlanConfig::default()
     };
-    plan_and_reserve(&mut pool, &low, &cfg);
+    plan_and_reserve(&mut pool, &low, &cfg, Discovery::Live, None);
 
     // A swarm of priority-1 sessions grabs every helper it can.
     for k in 0..4u32 {
@@ -280,13 +287,13 @@ fn session_survives_total_helper_loss() {
             root: members[0],
             members,
         };
-        plan_and_reserve(&mut pool, &spec, &cfg);
+        plan_and_reserve(&mut pool, &spec, &cfg, Discovery::Live, None);
         // Keep reservations in place (no release) to maximize contention.
     }
 
     // The low-priority session replans; members-only feasibility is
     // guaranteed by member-rank preemption.
-    let out = plan_and_reserve(&mut pool, &low, &cfg);
+    let out = plan_and_reserve(&mut pool, &low, &cfg, Discovery::Live, None);
     assert!(out.oracle_height.is_finite());
     let baseline = members_only_baseline(&pool, &low);
     assert!(

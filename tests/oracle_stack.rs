@@ -41,6 +41,8 @@ fn plan(pool: &mut ResourcePool) -> PlanOutcome {
             model: PlanModel::Oracle,
             ..PlanConfig::default()
         },
+        Discovery::Live,
+        None,
     )
 }
 
